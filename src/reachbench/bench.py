@@ -101,7 +101,6 @@ class RunConfig:
     instance: str | Path
     algorithm: str
     runs: int = 3
-    seed: int = 0
     timeout: float | None = None
     output: str | Path | None = None
     mode: str = "auto"  # auto: strict unless the sequence is flagged lenient
@@ -183,7 +182,9 @@ def median_aggregate(samples: list[RunAggregate]) -> RunAggregate:
     )
 
 
-def _strict_flag(mode: str) -> bool | None:
+def strict_for_mode(mode: str) -> bool | None:
+    """Map a run/verify mode to replay's strict argument (None: the
+    sequence's own flag)."""
     if mode == "strict":
         return True
     if mode == "lenient":
@@ -197,7 +198,7 @@ def run_benchmark(cfg: RunConfig, sequence: OperationSequence | None = None) -> 
     early and flags the row instead of raising."""
     seq = load_sequence(cfg.instance) if sequence is None else sequence
     factory = algorithm_registry(cfg.algorithm)
-    strict = _strict_flag(cfg.mode)
+    strict = strict_for_mode(cfg.mode)
     samples = [aggregate_replay(replay(seq, factory, strict=strict, timeout=cfg.timeout))
                for _ in range(cfg.runs)]
     med = median_aggregate(samples)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, render_csv,
-                    run_benchmark)
+                    run_benchmark, strict_for_mode)
 from .core import ReplayError, load_sequence, save_sequence, verify_against_oracle
 from .generators import (ErSpec, KroneckerSpec, gen_er_instance,
                          gen_kronecker_instance, inject_queries, shuffle_sequence)
@@ -58,7 +58,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--algorithm", required=True, action="append",
                      help="config string; repeat for a comparison table")
     run.add_argument("--runs", type=int, default=3)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     run.add_argument("--output", default=None, help="CSV path (stdout when omitted)")
     run.add_argument("--mode", choices=("auto", "strict", "lenient"), default="auto")
@@ -191,17 +190,9 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _strict_flag(mode: str) -> bool | None:
-    if mode == "strict":
-        return True
-    if mode == "lenient":
-        return False
-    return None
-
-
 def _cmd_run(args) -> int:
     seq = load_sequence(args.instance)
-    strict = _strict_flag(args.mode)
+    strict = strict_for_mode(args.mode)
     rows = []
     hit_timeout = False
     for spec in args.algorithm:
@@ -214,7 +205,7 @@ def _cmd_run(args) -> int:
                       file=sys.stderr)
                 return 2
         cfg = RunConfig(instance=args.instance, algorithm=spec, runs=args.runs,
-                        seed=args.seed, timeout=args.timeout, mode=args.mode)
+                        timeout=args.timeout, mode=args.mode)
         row = run_benchmark(cfg, sequence=seq)
         hit_timeout = hit_timeout or row.timed_out
         rows.append(row)
@@ -230,7 +221,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     seq = load_sequence(args.instance)
-    strict = _strict_flag(args.mode)
+    strict = strict_for_mode(args.mode)
     specs = args.algorithm if args.algorithm else list(CANONICAL_SPECS)
     failed = False
     for spec in specs:

@@ -279,83 +279,93 @@ class ReplayResult:
     mean_edges: float
 
 
-def _build_graph(seq: OperationSequence) -> DiGraph:
+def _steps(seq: OperationSequence, factory: AlgorithmFactory, strict: bool | None,
+           deadline: float | None = None) -> Iterator[tuple]:
+    """The one mutate-then-notify loop behind every replay entry point.
+
+    Builds the graph, initializes a fresh algorithm, then applies each op:
+    edges are added to the graph before edge_inserted and removed before
+    edge_deleted; a removal takes the most recent live (u, v) edge.
+    Yields (op_index, op, graph, algorithm, answer, wall_ns, work) after
+    initialize (op_index -1, op None) and after each op.  wall_ns times the
+    routine call alone, work is the step's counter deltas, and answer is
+    the query's bool, else None.  strict None follows the sequence's own
+    flag; a lenient-skipped removal yields zero time and work.  Once
+    deadline (a time.perf_counter value) has passed, stops before the next
+    op.
+    """
+    if strict is None:
+        strict = not seq.lenient
     g = DiGraph(seq.n)
+    add_edge = g.add_edge
     for u, v in seq.initial_edges:
-        g.add_edge(u, v)
-    return g
+        add_edge(u, v)
+    counters = WorkCounters()
+    alg = factory(g, seq.source, counters)
+    snapshot = counters.snapshot
+    clock = time.perf_counter_ns
+    pv, pe, pq, pr = snapshot()
+    t0 = clock()
+    alg.initialize()
+    t1 = clock()
+    cv, ce, cq, cr = snapshot()
+    yield -1, None, g, alg, None, t1 - t0, (cv - pv, ce - pe, cq - pq, cr - pr)
+    inserted, deleted, query = alg.edge_inserted, alg.edge_deleted, alg.query
+    for i, op in enumerate(seq.ops):
+        if deadline is not None and time.perf_counter() > deadline:
+            return
+        kind, u, v = op
+        pv, pe, pq, pr = cv, ce, cq, cr
+        ans = None
+        if kind == ADD:
+            e = add_edge(u, v)
+            t0 = clock()
+            inserted(u, v, e)
+            t1 = clock()
+        elif kind == REMOVE:
+            e = g.find_edge(u, v)
+            if e is not None:
+                g.remove_edge(e)
+                t0 = clock()
+                deleted(u, v, e)
+                t1 = clock()
+            elif strict:
+                raise ReplayError(f"op {i}: no live edge ({u}, {v}) to remove")
+            else:
+                t0 = t1 = 0
+        elif kind == QUERY:
+            t0 = clock()
+            ans = query(u)
+            t1 = clock()
+            ans = bool(ans)
+        else:
+            raise ReplayError(f"op {i}: unknown kind {kind!r}")
+        cv, ce, cq, cr = snapshot()
+        yield i, op, g, alg, ans, t1 - t0, (cv - pv, ce - pe, cq - pq, cr - pr)
 
 
 def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
            strict: bool | None = None,
            timeout: float | None = None) -> ReplayResult:
-    """Drive a fresh algorithm instance through seq, timing each routine.
+    """Drive a fresh algorithm instance through seq, recording each
+    routine's time and work.
 
-    The engine owns all mutation: edges are added to the graph before
-    edge_inserted and removed before edge_deleted; removals are resolved to
-    edge ids via find_edge (most recent live match).  strict defaults to the
-    sequence's own flag; in lenient mode a removal with no live match is
-    skipped and recorded with zero work.  A timeout (seconds) aborts between
-    operations, flags the result timed_out, and keeps partial records.
+    strict defaults to the sequence's own flag; in lenient mode a removal
+    with no live match is skipped and recorded with zero work.  A timeout
+    (seconds) aborts between operations, flags the result timed_out, and
+    keeps partial records.
     """
-    if strict is None:
-        strict = not seq.lenient
-    g = _build_graph(seq)
-    counters = WorkCounters()
-    alg = factory(g, seq.source, counters)
+    deadline = None if timeout is None else time.perf_counter() + timeout
     records: list[MeasurementRecord] = []
     answers: list[bool] = []
-    deadline = None if timeout is None else time.perf_counter() + timeout
-    snap = counters.snapshot()
-    t0 = time.perf_counter_ns()
-    alg.initialize()
-    t1 = time.perf_counter_ns()
-    now = counters.snapshot()
-    records.append(MeasurementRecord(-1, INIT, t1 - t0,
-                                     now[0] - snap[0], now[1] - snap[1],
-                                     now[2] - snap[2], now[3] - snap[3]))
-    timed_out = False
-    edge_sum = g.edge_count
-    samples = 1
-    for i, op in enumerate(seq.ops):
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
-        kind = op.kind
-        snap = counters.snapshot()
-        if kind == ADD:
-            e = g.add_edge(op.u, op.v)
-            t0 = time.perf_counter_ns()
-            alg.edge_inserted(op.u, op.v, e)
-            t1 = time.perf_counter_ns()
-        elif kind == REMOVE:
-            e = g.find_edge(op.u, op.v)
-            if e is None:
-                if strict:
-                    raise ReplayError(
-                        f"op {i}: no live edge ({op.u}, {op.v}) to remove")
-                records.append(MeasurementRecord(i, kind, 0, 0, 0, 0, 0))
-                edge_sum += g.edge_count
-                samples += 1
-                continue
-            g.remove_edge(e)
-            t0 = time.perf_counter_ns()
-            alg.edge_deleted(op.u, op.v, e)
-            t1 = time.perf_counter_ns()
-        elif kind == QUERY:
-            t0 = time.perf_counter_ns()
-            ans = alg.query(op.u)
-            t1 = time.perf_counter_ns()
-            answers.append(bool(ans))
-        else:
-            raise ReplayError(f"op {i}: unknown kind {kind!r}")
-        now = counters.snapshot()
-        records.append(MeasurementRecord(i, kind, t1 - t0,
-                                         now[0] - snap[0], now[1] - snap[1],
-                                         now[2] - snap[2], now[3] - snap[3]))
+    edge_sum = 0
+    for i, op, g, alg, ans, ns, work in _steps(seq, factory, strict, deadline):
+        records.append(MeasurementRecord(i, INIT if op is None else op.kind, ns, *work))
+        if ans is not None:
+            answers.append(ans)
         edge_sum += g.edge_count
-        samples += 1
-    return ReplayResult(records, answers, g, alg, timed_out, edge_sum / samples)
+    timed_out = len(records) <= len(seq.ops)
+    return ReplayResult(records, answers, g, alg, timed_out, edge_sum / len(records))
 
 
 def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory, *,
@@ -364,31 +374,11 @@ def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     """Step-by-step replay for tests and verification drivers.
 
     Yields (op_index, op, graph, algorithm, answer) after initialize
-    (op_index -1, op None) and after each applied operation.  Lenient-skipped
+    (op_index -1, op None) and after each operation.  Lenient-skipped
     removals are yielded with answer None like updates.
     """
-    if strict is None:
-        strict = not seq.lenient
-    g = _build_graph(seq)
-    counters = WorkCounters()
-    alg = factory(g, seq.source, counters)
-    alg.initialize()
-    yield (-1, None, g, alg, None)
-    for i, op in enumerate(seq.ops):
-        ans: bool | None = None
-        if op.kind == ADD:
-            e = g.add_edge(op.u, op.v)
-            alg.edge_inserted(op.u, op.v, e)
-        elif op.kind == REMOVE:
-            e = g.find_edge(op.u, op.v)
-            if e is not None:
-                g.remove_edge(e)
-                alg.edge_deleted(op.u, op.v, e)
-            elif strict:
-                raise ReplayError(f"op {i}: no live edge ({op.u}, {op.v}) to remove")
-        else:
-            ans = bool(alg.query(op.u))
-        yield (i, op, g, alg, ans)
+    for i, op, g, alg, ans, _, _ in _steps(seq, factory, strict):
+        yield i, op, g, alg, ans
 
 
 class Divergence(NamedTuple):
@@ -400,44 +390,24 @@ class Divergence(NamedTuple):
 
 def verify_against_oracle(seq: OperationSequence, factory: AlgorithmFactory, *,
                           strict: bool | None = None) -> Divergence | None:
-    """Replay seq, sweeping all vertices against a BFS oracle after every
-    update and checking each query answer; returns the first divergence or
-    None if the algorithm agrees everywhere."""
-    if strict is None:
-        strict = not seq.lenient
-    g = _build_graph(seq)
-    counters = WorkCounters()
-    alg = factory(g, seq.source, counters)
-    alg.initialize()
+    """Replay seq, sweeping all vertices against a BFS oracle after
+    initialize and every applied update and checking each query answer;
+    returns the first divergence or None if the algorithm agrees everywhere."""
     source = seq.source
-    n = seq.n
-    oracle = oracle_reach_set(g, source)
-    query = alg.query
-    for t in range(n):
-        got = bool(query(t))
-        if got != bool(oracle[t]):
-            return Divergence(-1, t, got, bool(oracle[t]))
-    for i, op in enumerate(seq.ops):
-        kind = op.kind
-        if kind == QUERY:
-            got = bool(query(op.u))
-            if got != bool(oracle[op.u]):
-                return Divergence(i, op.u, got, bool(oracle[op.u]))
+    live = -1
+    for i, op, g, alg, ans in iterate_replay(seq, factory, strict=strict):
+        if ans is not None:
+            want = bool(oracle[op.u])
+            if ans != want:
+                return Divergence(i, op.u, ans, want)
             continue
-        if kind == ADD:
-            e = g.add_edge(op.u, op.v)
-            alg.edge_inserted(op.u, op.v, e)
-        else:
-            e = g.find_edge(op.u, op.v)
-            if e is None:
-                if strict:
-                    raise ReplayError(f"op {i}: no live edge ({op.u}, {op.v}) to remove")
-                continue
-            g.remove_edge(e)
-            alg.edge_deleted(op.u, op.v, e)
+        if g.edge_count == live:
+            continue  # a lenient-skipped removal left the graph as it was
+        live = g.edge_count
         oracle = oracle_reach_set(g, source)
-        for t in range(n):
+        query = alg.query
+        for t in range(seq.n):
             got = bool(query(t))
-            if got != bool(oracle[t]):
+            if got != oracle[t]:
                 return Divergence(i, t, got, bool(oracle[t]))
     return None

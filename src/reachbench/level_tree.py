@@ -57,6 +57,13 @@ class _EsBase(SsrAlgorithm):
         """Copy of the level array; the value n marks unreachable vertices."""
         return list(self.level)
 
+    def _run_repair(self, v: int) -> None:
+        try:
+            self._repair(v)
+        except _RebuildNeeded:
+            self.counters.recomputations += 1
+            self._rebuild()
+
 
 class _IndexedEs(_EsBase):
     """ES/MES common core: a private in-edge list per vertex, position map,
@@ -170,13 +177,6 @@ class _IndexedEs(_EsBase):
         if self._detach(v, e):
             self._run_repair(v)
 
-    def _run_repair(self, v: int) -> None:
-        try:
-            self._repair(v)
-        except _RebuildNeeded:
-            self.counters.recomputations += 1
-            self._rebuild()
-
 
 class EvenShiloachTree(_IndexedEs):
     """Textbook repair: each queued vertex advances its tree-edge index
@@ -197,7 +197,6 @@ class EvenShiloachTree(_IndexedEs):
         cap = self.ratio * n
         out = self.graph.out_edges
         counts: dict[int, int] = {}
-        maxcnt = 0
         pops = 0
         scans = 0
         q = deque([v])
@@ -239,19 +238,15 @@ class EvenShiloachTree(_IndexedEs):
                         if cnt > beta:
                             raise _RebuildNeeded
                         counts[h] = cnt
-                        if cnt > maxcnt:
-                            maxcnt = cnt
                         q.append(h)
                 cnt = counts.get(w, 0) + 1
                 if cnt > beta:
                     raise _RebuildNeeded
                 counts[w] = cnt
-                if cnt > maxcnt:
-                    maxcnt = cnt
                 q.append(w)
         finally:
             c.edges_scanned += scans
-            self.last_deletion_stats = DeletionStats(maxcnt, pops)
+            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
 
 
 class MultiLevelEsTree(_IndexedEs):
@@ -273,7 +268,6 @@ class MultiLevelEsTree(_IndexedEs):
         cap = self.ratio * n
         out = self.graph.out_edges
         counts: dict[int, int] = {}
-        maxcnt = 0
         pops = 0
         scans = 0
         q = deque([v])
@@ -329,12 +323,10 @@ class MultiLevelEsTree(_IndexedEs):
                     if cnt > beta:
                         raise _RebuildNeeded
                     counts[h] = cnt
-                    if cnt > maxcnt:
-                        maxcnt = cnt
                     q.append(h)
         finally:
             c.edges_scanned += scans
-            self.last_deletion_stats = DeletionStats(maxcnt, pops)
+            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
 
 
 class SimplifiedEsTree(_EsBase):
@@ -400,13 +392,8 @@ class SimplifiedEsTree(_EsBase):
 
     def edge_deleted(self, u: int, v: int, e: int) -> None:
         self.last_deletion_stats = DeletionStats(0, 0)
-        if self.tree_edge[v] != e:
-            return
-        try:
-            self._repair(v)
-        except _RebuildNeeded:
-            self.counters.recomputations += 1
-            self._rebuild()
+        if self.tree_edge[v] == e:
+            self._run_repair(v)
 
     def _repair(self, v: int) -> None:
         g = self.graph
@@ -419,7 +406,6 @@ class SimplifiedEsTree(_EsBase):
         in_edges = g.in_edges
         out = g.out_edges
         counts: dict[int, int] = {}
-        maxcnt = 0
         pops = 0
         scans = 0
         q = deque([v])
@@ -444,35 +430,27 @@ class SimplifiedEsTree(_EsBase):
                         lmin = lx
                         best = e2
                 newl = lmin + 1
-                if newl >= n:
-                    children = []
-                    for e2, h in out(w):
-                        scans += 1
-                        if h != w and level[h] < n and tree_edge[h] == e2:
-                            children.append(h)
-                    level[w] = n
-                    tree_edge[w] = None
-                    c.vertices_visited += 1
-                elif newl == lw:
+                if newl == lw:
                     tree_edge[w] = best
                     continue
+                children = []
+                for e2, h in out(w):
+                    scans += 1
+                    if h != w and level[h] < n and tree_edge[h] == e2:
+                        children.append(h)
+                if newl >= n:
+                    level[w] = n
+                    tree_edge[w] = None
                 else:
-                    children = []
-                    for e2, h in out(w):
-                        scans += 1
-                        if h != w and level[h] < n and tree_edge[h] == e2:
-                            children.append(h)
                     level[w] = newl
                     tree_edge[w] = best
-                    c.vertices_visited += 1
+                c.vertices_visited += 1
                 for h in children:
                     cnt = counts.get(h, 0) + 1
                     if cnt > beta:
                         raise _RebuildNeeded
                     counts[h] = cnt
-                    if cnt > maxcnt:
-                        maxcnt = cnt
                     q.append(h)
         finally:
             c.edges_scanned += scans
-            self.last_deletion_stats = DeletionStats(maxcnt, pops)
+            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)

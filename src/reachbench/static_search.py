@@ -86,30 +86,16 @@ class StaticDfs(_StaticSearch):
     bfs = False
 
 
-class _CachedSearch(SsrAlgorithm):
-    """Eagerly cached reachability; updates only raise critical flags.
-
-    An insertion is critical when it links a cached-reachable tail to a
-    cached-unreachable head; a deletion is critical when its head is
-    cached-reachable.  A query whose cached answer may be stale (critical
-    insertion with a cached-unreachable target, or critical deletion with a
-    cached-reachable one) rebuilds the entire cache and clears both flags;
-    every other query is answered from the cache in O(1).
-    """
+class _FlaggedSearch(SsrAlgorithm):
+    """Shared critical-update flags over a reachability cache: an insertion
+    is critical when it links a cached-reachable tail to a cached-unreachable
+    head, a deletion when its head is cached-reachable."""
 
     bfs = True
 
     def initialize(self) -> None:
         self.crit_ins = False
         self.crit_del = False
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        c = self.counters
-        self.cache = bytearray(self.graph.vertex_count)
-        self.cache[self.source] = 1
-        c.vertices_visited += 1
-        _advance(self.graph, self.cache, deque([[self.source, 0]]), self.bfs, c, None)
 
     def edge_inserted(self, u: int, v: int, e: int) -> None:
         if self.cache[u] and not self.cache[v]:
@@ -118,6 +104,27 @@ class _CachedSearch(SsrAlgorithm):
     def edge_deleted(self, u: int, v: int, e: int) -> None:
         if self.cache[v]:
             self.crit_del = True
+
+
+class _CachedSearch(_FlaggedSearch):
+    """Eagerly cached reachability; updates only raise critical flags.
+
+    A query whose cached answer may be stale (critical insertion with a
+    cached-unreachable target, or critical deletion with a cached-reachable
+    one) rebuilds the entire cache and clears both flags; every other query
+    is answered from the cache in O(1).
+    """
+
+    def initialize(self) -> None:
+        super().initialize()
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        c = self.counters
+        self.cache = bytearray(self.graph.vertex_count)
+        self.cache[self.source] = 1
+        c.vertices_visited += 1
+        _advance(self.graph, self.cache, deque([[self.source, 0]]), self.bfs, c, None)
 
     def query(self, t: int) -> bool:
         cached = self.cache[t]
@@ -140,7 +147,7 @@ class CachingDfs(_CachedSearch):
     bfs = False
 
 
-class _LazySearch(SsrAlgorithm):
+class _LazySearch(_FlaggedSearch):
     """Partial cache fed by a suspendable traversal.
 
     Critical flags follow the caching variant but are evaluated against the
@@ -155,11 +162,8 @@ class _LazySearch(SsrAlgorithm):
     anew, running it just far enough to classify the target.
     """
 
-    bfs = True
-
     def initialize(self) -> None:
-        self.crit_ins = False
-        self.crit_del = False
+        super().initialize()
         self._restart()
         self._run_until(None)
 
@@ -174,14 +178,6 @@ class _LazySearch(SsrAlgorithm):
         _advance(self.graph, self.cache, self.agenda, self.bfs, self.counters, t)
         if not self.agenda:
             self.exhausted = True
-
-    def edge_inserted(self, u: int, v: int, e: int) -> None:
-        if self.cache[u] and not self.cache[v]:
-            self.crit_ins = True
-
-    def edge_deleted(self, u: int, v: int, e: int) -> None:
-        if self.cache[v]:
-            self.crit_del = True
 
     def query(self, t: int) -> bool:
         cached = self.cache[t]

@@ -2,8 +2,10 @@
 so a run doubles as the acceptance report.
 
 Criterion 4 is measured honestly and two of its three trend directions do
-not hold on this implementation at the pinned sizes; the test states the
-expectation exactly and is allowed to fail rather than being loosened.
+not hold on this implementation at the pinned sizes: five of its twelve
+density gates (c@d=2.5, c@d=5.0, b@d=10.0, b@d=20.0, c@d=20.0) fall below
+8/10.  The test states the expectation exactly and is allowed to fail
+rather than being loosened.
 """
 
 import time

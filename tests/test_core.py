@@ -1,5 +1,7 @@
 """Sequence format, BFS oracles, and the replay engine."""
 
+import hashlib
+
 import pytest
 
 from reachbench.bench import CANONICAL_SPECS, algorithm_registry
@@ -26,7 +28,7 @@ from reachbench.core import (
     serialize_sequence,
     verify_against_oracle,
 )
-from reachbench.generators import ErSpec, gen_er_instance
+from reachbench.generators import ErSpec, gen_er_instance, shuffle_sequence
 from reachbench.graph import DiGraph
 
 
@@ -190,12 +192,27 @@ def test_lenient_replay_skips_unmatched_removal_with_zero_work():
     seq = OperationSequence(n=2, source=0,
                             ops=[Operation.remove(0, 1), Operation.query(0)],
                             lenient=True)
-    res = replay(seq, algorithm_registry("cbfs"))
+    factory = algorithm_registry("cbfs")
+    res = replay(seq, factory)
     skip = res.records[1]
     assert skip.kind == REMOVE
     assert (skip.wall_time_ns, skip.vertices_visited, skip.edges_scanned,
             skip.queue_pops, skip.recomputations) == (0, 0, 0, 0, 0)
     assert res.answers == [True]
+    steps = [(i, op, ans) for i, op, _, _, ans in iterate_replay(seq, factory)]
+    assert steps == [(-1, None, None), (0, seq.ops[0], None), (1, seq.ops[1], True)]
+    assert verify_against_oracle(seq, factory) is None
+
+
+@pytest.mark.parametrize("drive", [
+    lambda seq, f: replay(seq, f),
+    lambda seq, f: list(iterate_replay(seq, f)),
+    lambda seq, f: verify_against_oracle(seq, f),
+], ids=["replay", "iterate_replay", "verify_against_oracle"])
+def test_unknown_op_kind_is_rejected_by_every_entry_point(drive):
+    seq = OperationSequence(n=2, source=0, ops=[Operation("x", 0, 1)])
+    with pytest.raises(ReplayError, match="unknown kind 'x'"):
+        drive(seq, algorithm_registry("cbfs"))
 
 
 def test_strict_override_beats_sequence_flag():
@@ -251,6 +268,25 @@ def test_replay_is_deterministic():
         kb = [(r.op_index, r.kind, r.vertices_visited, r.edges_scanned,
                r.queue_pops, r.recomputations) for r in b.records]
         assert ka == kb
+
+
+#: SHA-256 of every canonical config's replay of the instance below and of
+#: its shuffled (lenient) variant.  A change here means a refactor changed
+#: the counters, answers or timeout flag; fix the code, not the constant.
+REPLAY_FINGERPRINT = "821b97835ce7fc0d559ee22774c70a2fc3a5e4b2fd2f2cd9b2c84a41ec7c910d"
+
+
+def test_replay_fingerprint_is_unchanged():
+    seq = gen_er_instance(ErSpec(n=40, d=2.0, sigma=400, seed=17))
+    h = hashlib.sha256()
+    for s in (seq, shuffle_sequence(seq, 3)):
+        for spec in CANONICAL_SPECS:
+            res = replay(s, algorithm_registry(spec))
+            for r in res.records:
+                h.update(repr((r.op_index, r.kind, r.vertices_visited, r.edges_scanned,
+                               r.queue_pops, r.recomputations)).encode())
+            h.update(repr((res.answers, res.timed_out, res.mean_edges)).encode())
+    assert h.hexdigest() == REPLAY_FINGERPRINT
 
 
 def test_at_most_one_recomputation_per_operation():
