@@ -102,7 +102,6 @@ class RunConfig:
     algorithm: str
     runs: int = 3
     timeout: float | None = None
-    output: str | Path | None = None
     mode: str = "auto"  # auto: strict unless the sequence is flagged lenient
 
     def __post_init__(self) -> None:

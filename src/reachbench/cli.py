@@ -7,8 +7,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, render_csv,
-                    run_benchmark, strict_for_mode)
+from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, emit_csv,
+                    render_csv, run_benchmark, strict_for_mode)
 from .core import ReplayError, load_sequence, save_sequence, verify_against_oracle
 from .generators import (ErSpec, KroneckerSpec, gen_er_instance,
                          gen_kronecker_instance, inject_queries, shuffle_sequence)
@@ -209,11 +209,10 @@ def _cmd_run(args) -> int:
         row = run_benchmark(cfg, sequence=seq)
         hit_timeout = hit_timeout or row.timed_out
         rows.append(row)
-    text = render_csv(rows)
     if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
+        emit_csv(rows, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_csv(rows))
     if hit_timeout and args.fail_on_timeout:
         return 3
     return 0

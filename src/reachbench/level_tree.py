@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable, Iterable
 from itertools import chain
 from typing import NamedTuple
 
@@ -20,18 +21,30 @@ class DeletionStats(NamedTuple):
 
 
 class _RebuildNeeded(Exception):
-    """A repair loop hit its work bound; recompute from scratch."""
+    """The repair loop hit a work bound; recompute from scratch."""
+
+
+#: step(w, level of w) re-anchors one popped vertex and names the vertices
+#: to enqueue next; it adds its own scans and visits to the counters.
+_Step = Callable[[int, int], Iterable[int]]
 
 
 class _EsBase(SsrAlgorithm):
     """Shared frame: level array with the integer sentinel n meaning
-    unreachable, so every comparison stays on ints.
+    unreachable, so every comparison stays on ints, and the one deletion
+    repair loop every variant runs.
 
+    A variant supplies _rebuild(); _detach(v, e), which unlinks a deleted
+    edge and says whether v must be re-anchored; and _reanchor_step(), which
+    returns a step bound to the arrays of the last rebuild.  The loop pops
+    vertices off a queue and hands each one that is still reachable to that
+    step, which fixes the vertex's level and tree edge and names the
+    vertices to enqueue next.  The loop alone enforces both work bounds:
     beta bounds how often one vertex may be enqueued during a single
-    deletion repair; ratio * n bounds the repair loop's queue pops.  The
-    pop or enqueue that would exceed a bound aborts the repair and rebuilds
-    the tree from scratch instead (counted as a recomputation).  Both
-    default to infinity, i.e. never abort.
+    deletion repair, and ratio * n bounds the queue pops.  The pop or
+    enqueue that would exceed a bound aborts the repair and rebuilds the
+    tree from scratch instead (counted as a recomputation).  Both default
+    to infinity, i.e. never abort.
     """
 
     def __init__(self, graph: DiGraph, source: int, counters: WorkCounters, *,
@@ -49,6 +62,7 @@ class _EsBase(SsrAlgorithm):
 
     def initialize(self) -> None:
         self._rebuild()
+        self._step = self._reanchor_step()
 
     def query(self, t: int) -> bool:
         return self.level[t] < self._inf
@@ -57,12 +71,39 @@ class _EsBase(SsrAlgorithm):
         """Copy of the level array; the value n marks unreachable vertices."""
         return list(self.level)
 
-    def _run_repair(self, v: int) -> None:
+    def edge_deleted(self, u: int, v: int, e: int) -> None:
+        if not self._detach(v, e):
+            self.last_deletion_stats = DeletionStats(0, 0)
+            return
+        n = self._inf
+        level = self.level
+        beta = self.beta
+        cap = self.ratio * n
+        step = self._step
+        counts: dict[int, int] = {}
+        pops = 0
+        q = deque([v])
         try:
-            self._repair(v)
+            while q:
+                w = q.popleft()
+                pops += 1
+                if pops > cap:
+                    raise _RebuildNeeded
+                lw = level[w]
+                if lw == n:
+                    continue
+                for h in step(w, lw):
+                    cnt = counts.get(h, 0) + 1
+                    if cnt > beta:
+                        raise _RebuildNeeded
+                    counts[h] = cnt
+                    q.append(h)
         except _RebuildNeeded:
             self.counters.recomputations += 1
-            self._rebuild()
+            self.initialize()
+        finally:
+            self.counters.queue_pops += pops
+            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
 
 
 class _IndexedEs(_EsBase):
@@ -172,11 +213,6 @@ class _IndexedEs(_EsBase):
                     self.tei[v] = pos
         return was_tree
 
-    def edge_deleted(self, u: int, v: int, e: int) -> None:
-        self.last_deletion_stats = DeletionStats(0, 0)
-        if self._detach(v, e):
-            self._run_repair(v)
-
 
 class EvenShiloachTree(_IndexedEs):
     """Textbook repair: each queued vertex advances its tree-edge index
@@ -186,67 +222,47 @@ class EvenShiloachTree(_IndexedEs):
 
     name = "es"
 
-    def _repair(self, v: int) -> None:
+    def _reanchor_step(self) -> _Step:
         c = self.counters
         n = self._inf
         level = self.level
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
-        beta = self.beta
-        cap = self.ratio * n
         out = self.graph.out_edges
-        counts: dict[int, int] = {}
-        pops = 0
-        scans = 0
-        q = deque([v])
-        try:
-            while q:
-                w = q.popleft()
-                pops += 1
-                c.queue_pops += 1
-                if pops > cap:
-                    raise _RebuildNeeded
-                lw = level[w]
-                if lw == n:
-                    continue
-                lst = in_list[w]
-                sz = len(lst)
-                target = lw - 1
-                i = tei[w]
-                while i < sz:
-                    scans += 1
-                    if level[lst[i][1]] == target:
-                        break
-                    i += 1
-                if i < sz:
+
+        def step(w: int, lw: int) -> Iterable[int]:
+            # a generator: the loop may abort at any child, so the scans up
+            # to it are counted before it is handed over
+            lst = in_list[w]
+            sz = len(lst)
+            target = lw - 1
+            start = i = tei[w]
+            while i < sz:
+                if level[lst[i][1]] == target:
                     tei[w] = i
-                    continue
-                if lw + 1 >= n:
-                    # nothing can hang below the last finite level
-                    level[w] = n
-                    tei[w] = 0
-                    c.vertices_visited += 1
-                    continue
-                level[w] = lw + 1
-                tei[w] = 0
-                c.vertices_visited += 1
-                for e, h in out(w):
-                    scans += 1
-                    if h != w and level[h] < n and in_pos[e] == tei[h]:
-                        cnt = counts.get(h, 0) + 1
-                        if cnt > beta:
-                            raise _RebuildNeeded
-                        counts[h] = cnt
-                        q.append(h)
-                cnt = counts.get(w, 0) + 1
-                if cnt > beta:
-                    raise _RebuildNeeded
-                counts[w] = cnt
-                q.append(w)
-        finally:
+                    c.edges_scanned += i + 1 - start
+                    return
+                i += 1
+            scans = sz - start
+            c.vertices_visited += 1
+            tei[w] = 0
+            if lw + 1 >= n:
+                # nothing can hang below the last finite level
+                level[w] = n
+                c.edges_scanned += scans
+                return
+            level[w] = lw + 1
+            for e, h in out(w):
+                scans += 1
+                if h != w and level[h] < n and in_pos[e] == tei[h]:
+                    c.edges_scanned += scans
+                    scans = 0
+                    yield h
             c.edges_scanned += scans
-            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
+            yield w
+
+        return step
 
 
 class MultiLevelEsTree(_IndexedEs):
@@ -257,76 +273,50 @@ class MultiLevelEsTree(_IndexedEs):
 
     name = "mes"
 
-    def _repair(self, v: int) -> None:
+    def _reanchor_step(self) -> _Step:
         c = self.counters
         n = self._inf
         level = self.level
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
-        beta = self.beta
-        cap = self.ratio * n
         out = self.graph.out_edges
-        counts: dict[int, int] = {}
-        pops = 0
-        scans = 0
-        q = deque([v])
-        try:
-            while q:
-                w = q.popleft()
-                pops += 1
-                c.queue_pops += 1
-                if pops > cap:
-                    raise _RebuildNeeded
-                lw = level[w]
-                if lw == n:
-                    continue
-                lst = in_list[w]
-                sz = len(lst)
-                target = lw - 1
-                adopted = False
-                lmin = n
-                emin = 0
-                start = tei[w]
-                if start >= sz:
-                    start = 0
-                for i in chain(range(start, sz), range(start)):
-                    scans += 1
-                    e, x = lst[i]
-                    if x == w:
-                        continue  # a self-loop can never anchor its own level
-                    lx = level[x]
-                    if lx == target:
-                        tei[w] = i
-                        adopted = True
-                        break
-                    if lx < lmin:
-                        lmin = lx
-                        emin = i
-                if adopted:
-                    continue
-                children = []
-                for e, h in out(w):
-                    scans += 1
-                    if h != w and level[h] < n and in_pos[e] == tei[h]:
-                        children.append(h)
-                if lmin + 1 >= n:
-                    level[w] = n
-                    tei[w] = 0
-                    c.vertices_visited += 1
-                else:
-                    level[w] = lmin + 1
-                    tei[w] = emin
-                    c.vertices_visited += 1
-                for h in children:
-                    cnt = counts.get(h, 0) + 1
-                    if cnt > beta:
-                        raise _RebuildNeeded
-                    counts[h] = cnt
-                    q.append(h)
-        finally:
-            c.edges_scanned += scans
-            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
+
+        def step(w: int, lw: int) -> Iterable[int]:
+            lst = in_list[w]
+            sz = len(lst)
+            target = lw - 1
+            lmin = n
+            emin = 0
+            start = tei[w]
+            if start >= sz:
+                start = 0
+            for i in chain(range(start, sz), range(start)):
+                x = lst[i][1]
+                if x == w:
+                    continue  # a self-loop can never anchor its own level
+                lx = level[x]
+                if lx == target:
+                    tei[w] = i
+                    c.edges_scanned += (i - start) % sz + 1  # cyclic distance
+                    return ()
+                if lx < lmin:
+                    lmin = lx
+                    emin = i
+            edges = out(w)
+            children = [h for e, h in edges
+                        if h != w and level[h] < n and in_pos[e] == tei[h]]
+            c.edges_scanned += sz + len(edges)
+            c.vertices_visited += 1
+            if lmin + 1 >= n:
+                level[w] = n
+                tei[w] = 0
+            else:
+                level[w] = lmin + 1
+                tei[w] = emin
+            return children
+
+        return step
 
 
 class SimplifiedEsTree(_EsBase):
@@ -390,67 +380,44 @@ class SimplifiedEsTree(_EsBase):
         c.vertices_visited += visits
         c.edges_scanned += scans
 
-    def edge_deleted(self, u: int, v: int, e: int) -> None:
-        self.last_deletion_stats = DeletionStats(0, 0)
-        if self.tree_edge[v] == e:
-            self._run_repair(v)
+    def _detach(self, v: int, e: int) -> bool:
+        return self.tree_edge[v] == e
 
-    def _repair(self, v: int) -> None:
-        g = self.graph
+    def _reanchor_step(self) -> _Step:
         c = self.counters
         n = self._inf
         level = self.level
         tree_edge = self.tree_edge
-        beta = self.beta
-        cap = self.ratio * n
-        in_edges = g.in_edges
-        out = g.out_edges
-        counts: dict[int, int] = {}
-        pops = 0
-        scans = 0
-        q = deque([v])
-        try:
-            while q:
-                w = q.popleft()
-                pops += 1
-                c.queue_pops += 1
-                if pops > cap:
-                    raise _RebuildNeeded
-                lw = level[w]
-                if lw == n:
-                    continue
-                lmin = n
-                best = None
-                for e2, x in in_edges(w):
-                    scans += 1
-                    if x == w:
-                        continue  # a self-loop can never anchor its own level
-                    lx = level[x]
-                    if lx < lmin:
-                        lmin = lx
-                        best = e2
-                newl = lmin + 1
-                if newl == lw:
-                    tree_edge[w] = best
-                    continue
-                children = []
-                for e2, h in out(w):
-                    scans += 1
-                    if h != w and level[h] < n and tree_edge[h] == e2:
-                        children.append(h)
-                if newl >= n:
-                    level[w] = n
-                    tree_edge[w] = None
-                else:
-                    level[w] = newl
-                    tree_edge[w] = best
-                c.vertices_visited += 1
-                for h in children:
-                    cnt = counts.get(h, 0) + 1
-                    if cnt > beta:
-                        raise _RebuildNeeded
-                    counts[h] = cnt
-                    q.append(h)
-        finally:
-            c.edges_scanned += scans
-            self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
+        in_edges = self.graph.in_edges
+        out = self.graph.out_edges
+
+        def step(w: int, lw: int) -> Iterable[int]:
+            lmin = n
+            best = None
+            ins = in_edges(w)
+            for e, x in ins:
+                if x == w:
+                    continue  # a self-loop can never anchor its own level
+                lx = level[x]
+                if lx < lmin:
+                    lmin = lx
+                    best = e
+            newl = lmin + 1
+            if newl == lw:
+                tree_edge[w] = best
+                c.edges_scanned += len(ins)
+                return ()
+            edges = out(w)
+            children = [h for e, h in edges
+                        if h != w and level[h] < n and tree_edge[h] == e]
+            c.edges_scanned += len(ins) + len(edges)
+            c.vertices_visited += 1
+            if newl >= n:
+                level[w] = n
+                tree_edge[w] = None
+            else:
+                level[w] = newl
+                tree_edge[w] = best
+            return children
+
+        return step

@@ -55,7 +55,6 @@ class IncrementalReachTree(SsrAlgorithm):
         n = g.vertex_count
         state = self.state = bytearray(n)
         tree_edge = self.tree_edge = [None] * n
-        parent = self.parent = [None] * n
         children = self.children = [{} for _ in range(n)]
         s = self.source
         state[s] = REACHABLE
@@ -71,7 +70,6 @@ class IncrementalReachTree(SsrAlgorithm):
                 if state[w] != REACHABLE:
                     state[w] = REACHABLE
                     tree_edge[w] = e
-                    parent[w] = x
                     kids[w] = None
                     visits += 1
                     q.append(w)
@@ -82,7 +80,6 @@ class IncrementalReachTree(SsrAlgorithm):
         """Attach w below p via tree edge e and mark it reachable."""
         self.state[w] = REACHABLE
         self.tree_edge[w] = e
-        self.parent[w] = p
         self.children[p][w] = None
 
     def edge_inserted(self, u: int, v: int, e: int) -> None:
@@ -134,12 +131,10 @@ class IncrementalReachTree(SsrAlgorithm):
         c.edges_scanned += scans
         state = self.state
         tree_edge = self.tree_edge
-        parent = self.parent
         children[u].pop(v, None)
         for w in subtree:
             state[w] = UNKNOWN
             tree_edge[w] = None
-            parent[w] = None
             children[w].clear()
         order = reversed(subtree) if self.reverse_order else subtree
         for w in order:

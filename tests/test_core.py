@@ -275,18 +275,32 @@ def test_replay_is_deterministic():
 #: the counters, answers or timeout flag; fix the code, not the constant.
 REPLAY_FINGERPRINT = "821b97835ce7fc0d559ee22774c70a2fc3a5e4b2fd2f2cd9b2c84a41ec7c910d"
 
+#: The same over ES-family configs that sit at their abort bounds (beta 1,
+#: a tiny queue cap, ratio 0), with each step's DeletionStats hashed too.
+ABORT_SPECS = tuple(f"{fam}:{bounds}" for fam in ("es", "mes", "ses")
+                    for bounds in ("1:inf", "2:.05", "inf:0"))
+ABORT_FINGERPRINT = "519bb53fa87064a0f4897864a9c90b829b93dd1045df39bb066e2e5fcc29785b"
 
-def test_replay_fingerprint_is_unchanged():
+
+@pytest.mark.parametrize("specs,with_stats,fingerprint", [
+    pytest.param(CANONICAL_SPECS, False, REPLAY_FINGERPRINT, id="canonical"),
+    pytest.param(ABORT_SPECS, True, ABORT_FINGERPRINT, id="abort-heavy"),
+])
+def test_replay_fingerprint_is_unchanged(specs, with_stats, fingerprint):
     seq = gen_er_instance(ErSpec(n=40, d=2.0, sigma=400, seed=17))
     h = hashlib.sha256()
     for s in (seq, shuffle_sequence(seq, 3)):
-        for spec in CANONICAL_SPECS:
+        for spec in specs:
             res = replay(s, algorithm_registry(spec))
             for r in res.records:
                 h.update(repr((r.op_index, r.kind, r.vertices_visited, r.edges_scanned,
                                r.queue_pops, r.recomputations)).encode())
             h.update(repr((res.answers, res.timed_out, res.mean_edges)).encode())
-    assert h.hexdigest() == REPLAY_FINGERPRINT
+            if with_stats:
+                stats = [alg.last_deletion_stats
+                         for _, _, _, alg, _ in iterate_replay(s, algorithm_registry(spec))]
+                h.update(repr(stats).encode())
+    assert h.hexdigest() == fingerprint
 
 
 def test_at_most_one_recomputation_per_operation():

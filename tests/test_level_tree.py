@@ -15,7 +15,7 @@ from reachbench.core import (
     replay,
     verify_against_oracle,
 )
-from reachbench.generators import ErSpec, gen_er_instance
+from reachbench.generators import ErSpec, gen_er_instance, shuffle_sequence
 from reachbench.graph import DiGraph
 from reachbench.level_tree import (
     DeletionStats,
@@ -213,13 +213,13 @@ def test_ses_last_in_edge_removal_drops_subtree():
     assert alg.levels() == [0, 4, 4, 4]
 
 
-def test_ses_beta_abort_recomputes_once():
+@pytest.mark.parametrize("cls", VARIANTS)
+def test_beta_abort_recomputes_once(cls):
     # a 3-cycle fed only by the deleted edge: levels climb three at a time,
     # re-enqueueing each cycle vertex once per round until beta trips
     n = 24
     edges = [(0, 1), (1, 2), (2, 3), (3, 1)]
-    g, alg, c = make_algorithm(partial(SimplifiedEsTree, beta=5, ratio=math.inf),
-                               n, 0, edges)
+    g, alg, c = make_algorithm(partial(cls, beta=5, ratio=math.inf), n, 0, edges)
     apply_remove(g, alg, 0, 1)
     assert c.recomputations == 1
     assert alg.levels() == oracle_levels(g, 0)
@@ -245,6 +245,45 @@ def test_levels_stay_exact_after_every_update(cls, beta, ratio):
     factory = partial(cls, beta=beta, ratio=ratio)
     for _, _, g, alg, _ in iterate_replay(seq, factory):
         assert alg.levels() == oracle_levels(g, seq.source)
+
+
+def check_structure(g: DiGraph, alg) -> None:
+    """The Even-Shiloach invariant: every reachable vertex but the source
+    hangs off a live in-edge whose tail is exactly one level up.  ES/MES
+    also keep in_list as a copy of the graph's in-edges, with in_pos
+    mirroring it."""
+    n = g.vertex_count
+    level = alg.level
+    indexed = not isinstance(alg, SimplifiedEsTree)
+    if indexed:
+        assert len(alg.in_pos) == g.edge_count
+    for v in range(n):
+        if indexed:
+            lst = alg.in_list[v]
+            assert sorted(lst) == sorted(g.in_edges(v)), v
+            assert all(alg.in_pos[e] == pos for pos, (e, _) in enumerate(lst)), v
+        if v == alg.source or level[v] == n:
+            continue
+        if indexed:
+            tail = lst[alg.tei[v]][1]
+        else:
+            e = alg.tree_edge[v]
+            assert g.is_live(e), v
+            tail, head = g.endpoints(e)
+            assert head == v
+        assert level[tail] == level[v] - 1, v
+
+
+@pytest.mark.parametrize("cls", VARIANTS)
+@pytest.mark.parametrize("beta,ratio", [(1, math.inf), (2, 0.05), (math.inf, 0),
+                                        (math.inf, math.inf)])
+def test_structure_holds_after_every_step(cls, beta, ratio):
+    factory = partial(cls, beta=beta, ratio=ratio)
+    for seed in (0, 1):
+        seq = gen_er_instance(ErSpec(n=30, d=2.0, sigma=300, seed=seed))
+        for s in (seq, shuffle_sequence(seq, seed)):
+            for _, _, g, alg, _ in iterate_replay(s, factory):
+                check_structure(g, alg)
 
 
 @pytest.mark.parametrize("cls", VARIANTS)

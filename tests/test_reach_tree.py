@@ -29,10 +29,10 @@ def si(ratio=0.25, reverse_order=False, forward_search=True):
 
 def check_tree(g: DiGraph, alg: IncrementalReachTree) -> None:
     """Every reachable vertex hangs off a live edge whose tail is reachable,
-    parent chains reach the source acyclically, and no unknown survives."""
+    tree-edge chains reach the source acyclically, and no unknown survives."""
     s = alg.source
     assert alg.state[s] == REACHABLE
-    assert alg.tree_edge[s] is None and alg.parent[s] is None
+    assert alg.tree_edge[s] is None
     for v in range(g.vertex_count):
         st = alg.state[v]
         assert st != UNKNOWN
@@ -40,11 +40,11 @@ def check_tree(g: DiGraph, alg: IncrementalReachTree) -> None:
             e = alg.tree_edge[v]
             assert e is not None and g.is_live(e)
             x, head = g.endpoints(e)
-            assert head == v and alg.parent[v] == x
+            assert head == v
             assert alg.state[x] == REACHABLE
             assert v in alg.children[x]
         elif st == UNREACHABLE:
-            assert alg.tree_edge[v] is None and alg.parent[v] is None
+            assert alg.tree_edge[v] is None
     for v in range(g.vertex_count):
         if alg.state[v] != REACHABLE:
             continue
@@ -53,7 +53,7 @@ def check_tree(g: DiGraph, alg: IncrementalReachTree) -> None:
         while x != s:
             assert x not in seen
             seen.add(x)
-            x = alg.parent[x]
+            x = g.endpoints(alg.tree_edge[x])[0]
 
 
 def test_ratio_validation():
