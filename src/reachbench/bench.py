@@ -107,6 +107,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.timeout is not None and not self.timeout >= 0:
+            raise ValueError(f"timeout must be >= 0 seconds, got {self.timeout}")
         if self.mode not in ("auto", "strict", "lenient"):
             raise ValueError(f"mode must be auto, strict, or lenient, got {self.mode!r}")
 

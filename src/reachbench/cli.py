@@ -24,6 +24,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seconds(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a number of seconds >= 0, got {raw!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reachbench",
                      description="Fully dynamic single-source reachability benchmark harness.")
@@ -58,7 +65,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--algorithm", required=True, action="append",
                      help="config string; repeat for a comparison table")
     run.add_argument("--runs", type=int, default=3)
-    run.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    run.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS")
     run.add_argument("--output", default=None, help="CSV path (stdout when omitted)")
     run.add_argument("--mode", choices=("auto", "strict", "lenient"), default="auto")
     run.add_argument("--verify", action="store_true",

@@ -13,8 +13,8 @@ class DiGraph:
     self-loops are allowed; vertices cannot be removed.
 
     Incidence entries are (edge_id, other_endpoint) pairs.  The lists
-    returned by out_edges()/in_edges() are the live internals: treat them as
-    read-only.
+    returned by out_edges()/in_edges(), and the per-vertex table of out-lists
+    returned by out_lists, are the live internals: treat them as read-only.
     """
 
     __slots__ = ("_out", "_in", "_endpoints", "_out_pos", "_in_pos",
@@ -104,6 +104,13 @@ class DiGraph:
 
     def out_edges(self, v: int) -> list[tuple[int, int]]:
         return self._out[v]
+
+    @property
+    def out_lists(self) -> list[list[tuple[int, int]]]:
+        """The out-list of every vertex, indexed by tail: out_lists[v] is
+        out_edges(v).  Live and read-only, for traversals that would
+        otherwise call out_edges() once per vertex."""
+        return self._out
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         return self._in[v]

@@ -94,6 +94,8 @@ def test_run_config_validation():
         RunConfig(instance="x", algorithm="sbfs", runs=0)
     with pytest.raises(ValueError):
         RunConfig(instance="x", algorithm="sbfs", mode="fast")
+    with pytest.raises(ValueError):
+        RunConfig(instance="x", algorithm="sbfs", timeout=-1.0)
 
 
 def test_run_benchmark_single_run(tmp_path):
@@ -290,6 +292,16 @@ def test_run_fail_on_timeout_exits_3(er_instance, capsys):
                  "--timeout", "0", "--fail-on-timeout"])
     assert code == 3
     assert capsys.readouterr().out.splitlines()[1].endswith(",1")
+
+
+@pytest.mark.parametrize("timeout", ["-1", "-0.5", "nan", "soon"])
+def test_run_rejects_bad_timeout_at_parse_time(tmp_path, capsys, timeout):
+    # the instance does not exist: rejection must come before it is read
+    assert main(["run", "--instance", str(tmp_path / "absent.seq"),
+                 "--algorithm", "sbfs", "--timeout", timeout]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--timeout" in captured.err
 
 
 def test_run_missing_instance_exits_1(tmp_path, capsys):

@@ -28,7 +28,14 @@ from reachbench.core import (
     serialize_sequence,
     verify_against_oracle,
 )
-from reachbench.generators import ErSpec, gen_er_instance, shuffle_sequence
+from reachbench.generators import (
+    ErSpec,
+    KroneckerSpec,
+    gen_er_instance,
+    gen_kronecker_instance,
+    inject_queries,
+    shuffle_sequence,
+)
 from reachbench.graph import DiGraph
 
 
@@ -270,9 +277,19 @@ def test_replay_is_deterministic():
         assert ka == kb
 
 
-#: SHA-256 of every canonical config's replay of the instance below and of
-#: its shuffled (lenient) variant.  A change here means a refactor changed
-#: the counters, answers or timeout flag; fix the code, not the constant.
+def _er_instance():
+    return gen_er_instance(ErSpec(n=40, d=2.0, sigma=400, seed=17))
+
+
+def _kron_query_instance():
+    spec = KroneckerSpec.growing(((0.9, 0.5), (0.5, 0.1)), 5, 8, seed=1)
+    seq = gen_kronecker_instance(spec)
+    return inject_queries(seq, len(seq.ops), seed=2)
+
+
+#: SHA-256 of every canonical config's replay of the ER instance and of its
+#: shuffled (lenient) variant.  A change here means a refactor changed the
+#: counters, answers or timeout flag; fix the code, not the constant.
 REPLAY_FINGERPRINT = "821b97835ce7fc0d559ee22774c70a2fc3a5e4b2fd2f2cd9b2c84a41ec7c910d"
 
 #: The same over ES-family configs that sit at their abort bounds (beta 1,
@@ -281,13 +298,23 @@ ABORT_SPECS = tuple(f"{fam}:{bounds}" for fam in ("es", "mes", "ses")
                     for bounds in ("1:inf", "2:.05", "inf:0"))
 ABORT_FINGERPRINT = "519bb53fa87064a0f4897864a9c90b829b93dd1045df39bb066e2e5fcc29785b"
 
+#: The six static searches on a growing Kronecker stream with a query per
+#: update, where cache rebuilds, lazy stops and resumes are dense, with each
+#: step's lazy `exhausted` flag hashed too.
+STATIC_SPECS = ("sbfs", "sdfs", "cbfs", "cdfs", "lbfs", "ldfs")
+QUERY_FINGERPRINT = "30f3094141b69e0e7fd0def3067009cac1e41d9a7a242bddb5c5fb55aa25653d"
 
-@pytest.mark.parametrize("specs,with_stats,fingerprint", [
-    pytest.param(CANONICAL_SPECS, False, REPLAY_FINGERPRINT, id="canonical"),
-    pytest.param(ABORT_SPECS, True, ABORT_FINGERPRINT, id="abort-heavy"),
+
+@pytest.mark.parametrize("instance,specs,step_state,fingerprint", [
+    pytest.param(_er_instance, CANONICAL_SPECS, None, REPLAY_FINGERPRINT, id="canonical"),
+    pytest.param(_er_instance, ABORT_SPECS, lambda alg: alg.last_deletion_stats,
+                 ABORT_FINGERPRINT, id="abort-heavy"),
+    pytest.param(_kron_query_instance, STATIC_SPECS,
+                 lambda alg: getattr(alg, "exhausted", None), QUERY_FINGERPRINT,
+                 id="query-heavy"),
 ])
-def test_replay_fingerprint_is_unchanged(specs, with_stats, fingerprint):
-    seq = gen_er_instance(ErSpec(n=40, d=2.0, sigma=400, seed=17))
+def test_replay_fingerprint_is_unchanged(instance, specs, step_state, fingerprint):
+    seq = instance()
     h = hashlib.sha256()
     for s in (seq, shuffle_sequence(seq, 3)):
         for spec in specs:
@@ -296,10 +323,10 @@ def test_replay_fingerprint_is_unchanged(specs, with_stats, fingerprint):
                 h.update(repr((r.op_index, r.kind, r.vertices_visited, r.edges_scanned,
                                r.queue_pops, r.recomputations)).encode())
             h.update(repr((res.answers, res.timed_out, res.mean_edges)).encode())
-            if with_stats:
-                stats = [alg.last_deletion_stats
-                         for _, _, _, alg, _ in iterate_replay(s, algorithm_registry(spec))]
-                h.update(repr(stats).encode())
+            if step_state is not None:
+                states = [step_state(alg)
+                          for _, _, _, alg, _ in iterate_replay(s, algorithm_registry(spec))]
+                h.update(repr(states).encode())
     assert h.hexdigest() == fingerprint
 
 

@@ -3,8 +3,8 @@
 import pytest
 from support import apply_add, apply_remove, delta, make_algorithm
 
-from reachbench.core import verify_against_oracle
-from reachbench.generators import ErSpec, gen_er_instance
+from reachbench.core import iterate_replay, verify_against_oracle
+from reachbench.generators import ErSpec, gen_er_instance, shuffle_sequence
 from reachbench.static_search import (
     CachingBfs,
     CachingDfs,
@@ -213,9 +213,93 @@ def test_lazy_total_query_work_never_exceeds_static():
     assert scans(lazy) <= scans(static)
 
 
+@pytest.mark.parametrize("cls", [CachingBfs, CachingDfs, LazyBfs, LazyDfs])
+def test_invariants_hold_after_every_step(cls):
+    for seed in (0, 1, 2):
+        seq = gen_er_instance(ErSpec(n=30, d=2.0, sigma=300, seed=seed))
+        for s in (seq, shuffle_sequence(seq, seed)):
+            for _, _, _, alg, _ in iterate_replay(s, cls):
+                alg.check_invariants()
+
+
 @pytest.mark.parametrize("cls", [StaticBfs, StaticDfs, CachingBfs, CachingDfs,
                                  LazyBfs, LazyDfs])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 11])
 def test_variants_agree_with_oracle(cls, seed):
     seq = gen_er_instance(ErSpec(n=32, d=2.0, sigma=120, seed=seed))
     assert verify_against_oracle(seq, cls) is None
+
+
+# ---- lazy resume, traced by hand ----
+#
+# Each case removes an edge below a reached vertex, so the next query of a
+# reached target restarts the traversal and suspends it part-way through the
+# source's out-list; later queries resume it from that cursor.
+
+
+def test_lazy_resume_scans_an_entry_appended_to_the_suspended_list():
+    g, alg, c = make_algorithm(LazyBfs, 5, 0, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    apply_remove(g, alg, 3, 4)
+    before = c.snapshot()
+    assert alg.query(1)  # restart: scan (0,1), stop at cursor 1
+    assert delta(c, before) == (2, 1, 0, 1)
+    apply_add(g, alg, 0, 1)  # parallel edge to a marked head: not critical
+    assert not alg.crit_ins and not alg.crit_del
+    before = c.snapshot()
+    assert alg.query(3)  # resume: scan (0,2), (0,3)
+    assert delta(c, before) == (2, 2, 0, 0)
+    before = c.snapshot()
+    assert not alg.query(4)  # resume: the appended (0,1) once, then 1, 2, 3 are empty
+    assert delta(c, before) == (0, 1, 0, 0)
+    assert alg.exhausted
+
+
+@pytest.mark.parametrize("removed,target,unreached", [
+    ((0, 2), 3, 2),  # the entry at the cursor; (0,4) swaps into it
+    ((0, 3), 4, 3),  # an entry past the cursor; (0,4) swaps into it
+    ((0, 4), 3, 4),  # the last entry; nothing moves
+])
+def test_lazy_resume_after_a_noncritical_swap_removal(removed, target, unreached):
+    g, alg, c = make_algorithm(LazyBfs, 6, 0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
+    apply_remove(g, alg, 1, 5)
+    before = c.snapshot()
+    assert alg.query(1)  # restart: scan (0,1), stop at cursor 1
+    assert delta(c, before) == (2, 1, 0, 1)
+    apply_remove(g, alg, *removed)  # head not yet marked: not critical
+    assert not alg.crit_ins and not alg.crit_del
+    before = c.snapshot()
+    assert alg.query(target)  # resume: the two entries left past the cursor
+    assert delta(c, before) == (2, 2, 0, 0)
+    before = c.snapshot()
+    assert not alg.query(unreached)  # the source's list is done; 1..4 are empty
+    assert delta(c, before) == (0, 0, 0, 0)
+    assert alg.exhausted
+
+
+def test_lazy_removal_before_the_cursor_is_critical_and_restarts():
+    g, alg, c = make_algorithm(LazyBfs, 6, 0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
+    apply_remove(g, alg, 1, 5)
+    assert alg.query(2)  # restart: scan (0,1), (0,2), stop at cursor 2
+    apply_remove(g, alg, 0, 1)  # (0,4) swaps into slot 0, behind the cursor
+    assert alg.crit_del  # an entry before the cursor has a marked head
+    before = c.snapshot()
+    # a resume would scan only (0,3); the restart scans (0,4), (0,2), (0,3)
+    assert alg.query(3)
+    assert delta(c, before) == (4, 3, 0, 1)
+    assert alg.cache[4]
+
+
+def test_lazy_stop_at_a_target_with_parallel_edges_and_self_loops():
+    edges = [(0, 0), (0, 1), (0, 2), (0, 0), (0, 2), (0, 3), (1, 4)]
+    g, alg, c = make_algorithm(LazyBfs, 5, 0, edges)
+    apply_remove(g, alg, 1, 4)
+    before = c.snapshot()
+    assert alg.query(2)  # restart: scan (0,0), (0,1), the first (0,2)
+    assert delta(c, before) == (3, 3, 0, 1)
+    before = c.snapshot()
+    assert alg.query(3)  # resume: scan (0,0), the second (0,2), (0,3)
+    assert delta(c, before) == (1, 3, 0, 0)
+    before = c.snapshot()
+    assert not alg.query(4)
+    assert delta(c, before) == (0, 0, 0, 0)
+    assert alg.exhausted
