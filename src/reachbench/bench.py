@@ -89,7 +89,7 @@ def algorithm_registry(spec: str) -> AlgorithmFactory:
             if beta < 1:
                 raise AlgorithmSpecError(f"beta must be >= 1 in {spec!r}")
         ratio = math.inf if parts[2] == "inf" else _parse_float(parts[2], spec)
-        if ratio < 0:
+        if not ratio >= 0:
             raise AlgorithmSpecError(f"ratio must be >= 0 in {spec!r}")
         cls = _ES_FAMILY[head]
         return lambda g, s, c: cls(g, s, c, beta=beta, ratio=ratio)

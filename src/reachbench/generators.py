@@ -3,6 +3,7 @@ Kronecker snapshot streams, snapshot differencing, and sequence shuffling."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -30,14 +31,14 @@ class ErSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+        if not 0 <= self.d < math.inf:
+            raise ValueError(f"d must be finite and >= 0, got {self.d}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         probs = (self.p_insert, self.p_delete, self.p_query)
-        if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
+        if not (min(probs) >= 0 and abs(sum(probs) - 1.0) <= 1e-9):
             raise ValueError(f"kind proportions must be >= 0 and sum to 1, got {probs}")
 
 

@@ -54,7 +54,7 @@ class _EsBase(SsrAlgorithm):
             if beta != int(beta) or beta < 1:
                 raise ValueError(f"beta must be an integer >= 1 or inf, got {beta}")
             beta = int(beta)
-        if ratio < 0:
+        if not ratio >= 0:
             raise ValueError(f"ratio must be >= 0 or inf, got {ratio}")
         self.beta = beta
         self.ratio = ratio
@@ -162,9 +162,9 @@ class _IndexedEs(_EsBase):
             level[v] = lu1
             self.tei[v] = pos
             self.counters.vertices_visited += 1
-            self._relax_from(v)
+            self._sweep(v)
 
-    def _relax_from(self, v: int) -> None:
+    def _sweep(self, v: int) -> None:
         """Cascade an improved level forward.  At equal levels only the
         tree-edge index can improve (strictly smaller), without cascading."""
         level = self.level
@@ -321,37 +321,21 @@ class MultiLevelEsTree(_IndexedEs):
 
 class SimplifiedEsTree(_EsBase):
     """Index-free variant: a tree-edge id per vertex and no private in-edge
-    lists.  Repair rescans the graph's own in-edges and re-anchors at the
-    minimum tail level (first such edge on ties), cascading to tree children
-    only when the level actually changed."""
+    lists.  An insertion that lowers its head's level cascades the change
+    forward with one sweep, and a rebuild is that sweep from the source over
+    fresh levels.  Repair rescans the graph's own in-edges and re-anchors at
+    the minimum tail level (first such edge on ties), cascading to tree
+    children only when the level actually changed."""
 
     name = "ses"
 
     def _rebuild(self) -> None:
-        g = self.graph
-        c = self.counters
-        n = g.vertex_count
-        self._inf = n
-        level = self.level = [n] * n
-        tree_edge = self.tree_edge = [None] * n
-        s = self.source
-        level[s] = 0
-        visits = 1
-        scans = 0
-        q = deque([s])
-        out = g.out_edges
-        while q:
-            x = q.popleft()
-            lx1 = level[x] + 1
-            for e, w in out(x):
-                scans += 1
-                if level[w] == n:
-                    level[w] = lx1
-                    tree_edge[w] = e
-                    visits += 1
-                    q.append(w)
-        c.vertices_visited += visits
-        c.edges_scanned += scans
+        n = self._inf = self.graph.vertex_count
+        self.level = [n] * n
+        self.tree_edge = [None] * n
+        self.level[self.source] = 0
+        self.counters.vertices_visited += 1
+        self._sweep(self.source)
 
     def edge_inserted(self, u: int, v: int, e: int) -> None:
         level = self.level
@@ -360,21 +344,29 @@ class SimplifiedEsTree(_EsBase):
             return
         level[v] = lu1
         self.tree_edge[v] = e
+        self.counters.vertices_visited += 1
+        self._sweep(v)
+
+    def _sweep(self, v: int) -> None:
+        """The insertion algorithm: cascade v's level forward, lowering every
+        out-neighbour whose level would improve.  Over fresh levels this is
+        plain BFS, since level[x] + 1 < level[w] then holds exactly when w
+        is still at n."""
+        level = self.level
+        tree_edge = self.tree_edge
         c = self.counters
-        c.vertices_visited += 1
         visits = 0
         scans = 0
         q = deque([v])
         out = self.graph.out_edges
-        tree_edge = self.tree_edge
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e2, w in out(x):
+            for e, w in out(x):
                 scans += 1
                 if lx1 < level[w]:
                     level[w] = lx1
-                    tree_edge[w] = e2
+                    tree_edge[w] = e
                     visits += 1
                     q.append(w)
         c.vertices_visited += visits

@@ -16,16 +16,20 @@ UNKNOWN = 2
 class IncrementalReachTree(SsrAlgorithm):
     """Maintains an arbitrary reachability tree over the reachable set.
 
-    An insertion whose tail is reachable and whose head is not claims the
-    head's newly reachable region with a forward traversal; all other
-    insertions are O(1).  Deleting a non-tree edge is O(1).  Deleting a tree
-    edge detaches a subtree L: if |L| exceeds ratio * n the whole tree is
-    rebuilt from scratch, otherwise every member of L is marked unknown and
-    re-anchored one at a time.  Re-anchoring runs a backward search over
-    in-edges from the unknown vertex; hitting a reachable vertex re-claims
-    the discovery path (and, with forward_search, everything forward-reachable
-    from the anchor through unknown vertices), while exhausting the search
-    proves every vertex it saw unreachable.
+    The insertion algorithm is one forward sweep: an insertion whose tail
+    is reachable and whose head is not claims the head, then sweeps from it
+    claiming every vertex not yet reachable; all other insertions are O(1).
+    A rebuild is the same sweep from the source over fresh arrays.  Deleting
+    a non-tree edge is O(1).  Deleting a tree edge detaches a subtree L: if
+    |L| exceeds ratio * n the tree is rebuilt, otherwise every member of L
+    is marked unknown and re-anchored one at a time.  Re-anchoring runs a
+    backward search over in-edges from the unknown vertex; hitting a
+    reachable vertex re-claims the discovery path (and, with forward_search,
+    runs the insertion sweep from the anchor), while exhausting the search
+    proves every vertex it saw unreachable.  Such a proof covers all of the
+    vertex's unknown predecessors, so every unreachable label stays exact
+    during a repair and the sweep from an anchor claims only unknown
+    vertices.
 
     reverse_order processes L back to front.  ratio must lie in [0, 1];
     ratio 0 rebuilds on every tree-edge deletion.
@@ -44,24 +48,35 @@ class IncrementalReachTree(SsrAlgorithm):
         self.ratio = ratio
 
     def initialize(self) -> None:
-        self._rebuild()
+        n = self.graph.vertex_count
+        self.state = bytearray(n)
+        self.tree_edge = [None] * n
+        self.children = [{} for _ in range(n)]
+        self.state[self.source] = REACHABLE
+        self.counters.vertices_visited += 1
+        self._sweep(self.source)
 
     def query(self, t: int) -> bool:
         return self.state[t] == REACHABLE
 
-    def _rebuild(self) -> None:
-        g = self.graph
+    def _claim(self, w: int, e: int, p: int) -> None:
+        """Attach w below p via tree edge e and mark it reachable."""
+        self.state[w] = REACHABLE
+        self.tree_edge[w] = e
+        self.children[p][w] = None
+
+    def _sweep(self, v: int) -> None:
+        """The insertion algorithm: BFS from the already claimed v that
+        claims each vertex not yet reachable below the vertex it is first
+        reached from."""
+        state = self.state
+        tree_edge = self.tree_edge
+        children = self.children
         c = self.counters
-        n = g.vertex_count
-        state = self.state = bytearray(n)
-        tree_edge = self.tree_edge = [None] * n
-        children = self.children = [{} for _ in range(n)]
-        s = self.source
-        state[s] = REACHABLE
-        visits = 1
+        visits = 0
         scans = 0
-        q = deque([s])
-        out = g.out_edges
+        q = deque([v])
+        out = self.graph.out_edges
         while q:
             x = q.popleft()
             kids = children[x]
@@ -76,32 +91,13 @@ class IncrementalReachTree(SsrAlgorithm):
         c.vertices_visited += visits
         c.edges_scanned += scans
 
-    def _claim(self, w: int, e: int, p: int) -> None:
-        """Attach w below p via tree edge e and mark it reachable."""
-        self.state[w] = REACHABLE
-        self.tree_edge[w] = e
-        self.children[p][w] = None
-
     def edge_inserted(self, u: int, v: int, e: int) -> None:
         state = self.state
         if state[u] != REACHABLE or state[v] == REACHABLE:
             return
-        c = self.counters
         self._claim(v, e, u)
-        visits = 1
-        scans = 0
-        q = deque([v])
-        out = self.graph.out_edges
-        while q:
-            x = q.popleft()
-            for e2, w in out(x):
-                scans += 1
-                if state[w] != REACHABLE:
-                    self._claim(w, e2, x)
-                    visits += 1
-                    q.append(w)
-        c.vertices_visited += visits
-        c.edges_scanned += scans
+        self.counters.vertices_visited += 1
+        self._sweep(v)
 
     def edge_deleted(self, u: int, v: int, e: int) -> None:
         if self.tree_edge[v] != e:
@@ -121,7 +117,7 @@ class IncrementalReachTree(SsrAlgorithm):
                 c.vertices_visited += len(subtree)
                 c.edges_scanned += scans
                 c.recomputations += 1
-                self._rebuild()
+                self.initialize()
                 return
             kids = children[w]
             scans += len(kids)
@@ -190,22 +186,4 @@ class IncrementalReachTree(SsrAlgorithm):
             x = y
             y = z
         if self.forward_search:
-            self._forward_claim(w)
-
-    def _forward_claim(self, w: int) -> None:
-        state = self.state
-        c = self.counters
-        visits = 0
-        scans = 0
-        q = deque([w])
-        out = self.graph.out_edges
-        while q:
-            x = q.popleft()
-            for e, h in out(x):
-                scans += 1
-                if state[h] == UNKNOWN:
-                    self._claim(h, e, x)
-                    visits += 1
-                    q.append(h)
-        c.vertices_visited += visits
-        c.edges_scanned += scans
+            self._sweep(w)

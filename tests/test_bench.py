@@ -68,6 +68,9 @@ def test_registry_parses_parameters():
     "es:5",
     "es:5:-1",
     "es:two:.5",
+    "es:5:nan",
+    "mes:inf:nan",
+    "ses:1:NaN",
 ])
 def test_registry_rejects_malformed_specs(spec):
     with pytest.raises(AlgorithmSpecError, match="valid forms|must be"):
@@ -210,6 +213,8 @@ def test_generate_shuffle_and_query_injection(tmp_path):
     ("kind=er n=10 d=1 sigma=5 magic=7\n", "unknown er spec key"),
     ("kind=xyz n=10\n", "kind must be er or kron"),
     ("kind=er n=ten d=1 sigma=5\n", "bad value"),
+    ("kind=er n=10 d=1 sigma=5 pi=nan\n", "kind proportions"),
+    ("kind=er n=10 d=inf sigma=5\n", "d must be finite"),
     ("kind=er n 10\n", "expected key=value"),
     ("kind=kron i00=0.9 i01=0.5 i10=0.5 i11=0.1\n", "requires either"),
     ("kind=kron i00=0.9 i01=0.5 i10=0.5 i11=0.1 k=3 kmin=2\n", "requires either"),

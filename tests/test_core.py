@@ -304,6 +304,19 @@ ABORT_FINGERPRINT = "519bb53fa87064a0f4897864a9c90b829b93dd1045df39bb066e2e5fcc2
 STATIC_SPECS = ("sbfs", "sdfs", "cbfs", "cdfs", "lbfs", "ldfs")
 QUERY_FINGERPRINT = "30f3094141b69e0e7fd0def3067009cac1e41d9a7a242bddb5c5fb55aa25653d"
 
+#: si and ses configs that rebuild often (si ratio 0, ses queue cap 0, ses
+#: beta 1) or that lean on the SF forward claim, with each step's state or
+#: levels, tree edges and (si) tree children in order hashed too.
+REBUILD_SPECS = ("si:R:SF:0", "si:nR:SF:0", "si:R:nSF:.25", "si:R:SF:1",
+                 "ses:inf:0", "ses:1:inf")
+REBUILD_FINGERPRINT = "ecf88289438e1efad09339443a3b8427c55da7b8d95966d037db95dc4b3f1c1c"
+
+
+def _tree_state(alg):
+    if hasattr(alg, "children"):
+        return bytes(alg.state), tuple(alg.tree_edge), [tuple(k) for k in alg.children]
+    return alg.levels(), tuple(alg.tree_edge)
+
 
 @pytest.mark.parametrize("instance,specs,step_state,fingerprint", [
     pytest.param(_er_instance, CANONICAL_SPECS, None, REPLAY_FINGERPRINT, id="canonical"),
@@ -312,6 +325,8 @@ QUERY_FINGERPRINT = "30f3094141b69e0e7fd0def3067009cac1e41d9a7a242bddb5c5fb55aa2
     pytest.param(_kron_query_instance, STATIC_SPECS,
                  lambda alg: getattr(alg, "exhausted", None), QUERY_FINGERPRINT,
                  id="query-heavy"),
+    pytest.param(_er_instance, REBUILD_SPECS, _tree_state, REBUILD_FINGERPRINT,
+                 id="rebuild-heavy"),
 ])
 def test_replay_fingerprint_is_unchanged(instance, specs, step_state, fingerprint):
     seq = instance()

@@ -23,6 +23,9 @@ from reachbench.static_search import CachingBfs, StaticBfs
     {"n": 4, "d": 1.0, "sigma": 0, "batch": 0},
     {"n": 4, "d": 1.0, "sigma": 0, "p_insert": 0.5, "p_delete": 0.5, "p_query": 0.5},
     {"n": 4, "d": 1.0, "sigma": 0, "p_insert": -0.2, "p_delete": 0.6, "p_query": 0.6},
+    {"n": 4, "d": 1.0, "sigma": 0, "p_insert": float("nan")},
+    {"n": 4, "d": float("nan"), "sigma": 0},
+    {"n": 4, "d": float("inf"), "sigma": 0},
 ])
 def test_er_spec_validation(kwargs):
     with pytest.raises(ValueError):

@@ -39,8 +39,10 @@ def test_parameter_validation():
     for bad_beta in (0, -1, 2.5):
         with pytest.raises(ValueError):
             EvenShiloachTree(g, 0, WorkCounters(), beta=bad_beta)
-    with pytest.raises(ValueError):
-        SimplifiedEsTree(g, 0, WorkCounters(), ratio=-0.5)
+    for cls in VARIANTS:
+        for bad_ratio in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                cls(g, 0, WorkCounters(), ratio=bad_ratio)
 
 
 @pytest.mark.parametrize("cls", VARIANTS)

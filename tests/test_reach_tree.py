@@ -15,7 +15,7 @@ from reachbench.core import (
     replay,
     verify_against_oracle,
 )
-from reachbench.generators import ErSpec, gen_er_instance
+from reachbench.generators import ErSpec, gen_er_instance, shuffle_sequence
 from reachbench.graph import DiGraph
 from reachbench.reach_tree import REACHABLE, UNKNOWN, UNREACHABLE, IncrementalReachTree
 
@@ -29,10 +29,13 @@ def si(ratio=0.25, reverse_order=False, forward_search=True):
 
 def check_tree(g: DiGraph, alg: IncrementalReachTree) -> None:
     """Every reachable vertex hangs off a live edge whose tail is reachable,
-    tree-edge chains reach the source acyclically, and no unknown survives."""
+    children[x] holds exactly the reachable vertices whose tree edge leaves
+    x, tree-edge chains reach the source acyclically, and no unknown
+    survives."""
     s = alg.source
     assert alg.state[s] == REACHABLE
     assert alg.tree_edge[s] is None
+    kids = [set() for _ in range(g.vertex_count)]
     for v in range(g.vertex_count):
         st = alg.state[v]
         assert st != UNKNOWN
@@ -42,9 +45,10 @@ def check_tree(g: DiGraph, alg: IncrementalReachTree) -> None:
             x, head = g.endpoints(e)
             assert head == v
             assert alg.state[x] == REACHABLE
-            assert v in alg.children[x]
+            kids[x].add(v)
         elif st == UNREACHABLE:
             assert alg.tree_edge[v] is None
+    assert [set(c) for c in alg.children] == kids
     for v in range(g.vertex_count):
         if alg.state[v] != REACHABLE:
             continue
@@ -147,6 +151,28 @@ def test_deletion_exhausted_backward_search_marks_unreachable():
     check_tree(g, alg)
 
 
+@pytest.mark.parametrize("forward_search,cost,anchor_of_4", [
+    (True, (6, 7, 0, 0), 2),
+    (False, (6, 5, 0, 0), 3),
+])
+def test_forward_claim_exact_cost(forward_search, cost, anchor_of_4):
+    # 0->1->2 with 2->3->4->0 and 2->4; the shortcut 0->2 is a non-tree edge
+    g, alg, c = make_algorithm(si(ratio=1.0, forward_search=forward_search), 5, 0,
+                               [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 4)])
+    apply_add(g, alg, 0, 2)
+    before = c.snapshot()
+    apply_remove(g, alg, 1, 2)
+    # detach {2, 3, 4}: 3 visits, 2 child links read.  Resolving 2 scans its
+    # one live in-edge 0->2 and claims it (1, 1).  SF then sweeps from 2:
+    # claims 3 and 4 over 2->3 and 2->4, scans 3->4 and 4->0 (2, 4), leaving
+    # nothing unknown.  nSF instead resolves 3 and 4 by backward search,
+    # each stopping at its first in-edge, 2->3 and 3->4 (1, 1 each).
+    assert delta(c, before) == cost
+    assert g.endpoints(alg.tree_edge[4])[0] == anchor_of_4
+    assert sweep(alg, 5) == [True] * 5
+    check_tree(g, alg)
+
+
 def test_ratio_zero_recomputes_on_every_tree_deletion():
     g, alg, c = make_algorithm(si(ratio=0.0), 3, 0, [(0, 1), (1, 2)])
     apply_remove(g, alg, 1, 2)
@@ -193,8 +219,10 @@ def test_flag_combinations_agree_with_oracle(reverse_order, forward_search, rati
 @pytest.mark.parametrize("reverse_order,forward_search", ALL_FLAGS)
 def test_tree_stays_valid_through_random_updates(reverse_order, forward_search):
     seq = gen_er_instance(ErSpec(n=20, d=1.5, sigma=120, seed=6))
-    factory = si(ratio=0.5, reverse_order=reverse_order,
-                 forward_search=forward_search)
-    for _, op, g, alg, _ in iterate_replay(seq, factory):
-        if op is None or op.kind != QUERY:
-            check_tree(g, alg)
+    for ratio in (0.0, 0.25, 0.5, 1.0):
+        factory = si(ratio=ratio, reverse_order=reverse_order,
+                     forward_search=forward_search)
+        for s in (seq, shuffle_sequence(seq, 1)):
+            for _, op, g, alg, _ in iterate_replay(s, factory):
+                if op is None or op.kind != QUERY:
+                    check_tree(g, alg)
