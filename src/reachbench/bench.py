@@ -7,11 +7,12 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
-from .core import (ADD, QUERY, REMOVE, AlgorithmFactory, OperationSequence,
-                   ReplayResult, load_sequence, replay)
+from .core import (ADD, INIT, QUERY, REMOVE, AlgorithmFactory, OperationSequence,
+                   ReplayResult, replay)
 from .level_tree import EvenShiloachTree, MultiLevelEsTree, SimplifiedEsTree
 from .reach_tree import IncrementalReachTree
 from .static_search import (CachingBfs, CachingDfs, LazyBfs, LazyDfs,
@@ -102,19 +103,15 @@ class RunConfig:
     algorithm: str
     runs: int = 3
     timeout: float | None = None
-    mode: str = "auto"  # auto: strict unless the sequence is flagged lenient
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.timeout is not None and not self.timeout >= 0:
             raise ValueError(f"timeout must be >= 0 seconds, got {self.timeout}")
-        if self.mode not in ("auto", "strict", "lenient"):
-            raise ValueError(f"mode must be auto, strict, or lenient, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class RunAggregate:
+class RunAggregate(NamedTuple):
     """Totals of a single replay, before the across-runs median."""
 
     init_ns: float
@@ -131,10 +128,14 @@ class RunAggregate:
 
 @dataclass(frozen=True)
 class AggregateRow:
+    """One CSV row: the columns are the fields in order.  A cell is written
+    by its field's type (floats to three places, flags as 0/1) unless the
+    field's metadata names a format."""
+
     instance: str
     algorithm: str
     n: int
-    d_avg: float
+    d_avg: float = field(metadata={"format": "{:.6f}".format})
     sigma: int
     init_us: float
     ins_us: float
@@ -148,67 +149,40 @@ class AggregateRow:
     timed_out: bool
 
 
+_CELL = {"str": str, "int": str, "float": "{:.3f}".format,
+         "bool": lambda flag: "1" if flag else "0"}
+_COLUMNS = [(f.name, f.metadata.get("format", _CELL[f.type]))
+            for f in fields(AggregateRow)]
+CSV_COLUMNS = tuple(name for name, _ in _COLUMNS)
+
+
 def aggregate_replay(result: ReplayResult) -> RunAggregate:
-    init_ns = ins_ns = del_ns = qry_ns = 0
+    ns = dict.fromkeys((INIT, ADD, REMOVE, QUERY), 0)
     for rec in result.records:
-        if rec.kind == ADD:
-            ins_ns += rec.wall_time_ns
-        elif rec.kind == REMOVE:
-            del_ns += rec.wall_time_ns
-        elif rec.kind == QUERY:
-            qry_ns += rec.wall_time_ns
-        else:
-            init_ns += rec.wall_time_ns
-    c = result.algorithm.counters
-    return RunAggregate(init_ns, ins_ns, del_ns, qry_ns,
-                        c.vertices_visited, c.edges_scanned,
-                        c.queue_pops, c.recomputations,
+        ns[rec.kind] += rec.wall_time_ns
+    return RunAggregate(*ns.values(), *result.algorithm.counters.snapshot(),
                         result.mean_edges, result.timed_out)
 
 
 def median_aggregate(samples: list[RunAggregate]) -> RunAggregate:
     """Field-wise medians; timed_out is sticky across runs."""
-    med = statistics.median
-    return RunAggregate(
-        init_ns=med(s.init_ns for s in samples),
-        ins_ns=med(s.ins_ns for s in samples),
-        del_ns=med(s.del_ns for s in samples),
-        qry_ns=med(s.qry_ns for s in samples),
-        vertices_visited=med(s.vertices_visited for s in samples),
-        edges_scanned=med(s.edges_scanned for s in samples),
-        queue_pops=med(s.queue_pops for s in samples),
-        recomputations=med(s.recomputations for s in samples),
-        live_edge_mean=med(s.live_edge_mean for s in samples),
-        timed_out=any(s.timed_out for s in samples),
-    )
+    *columns, timed_out = zip(*samples)
+    return RunAggregate(*map(statistics.median, columns), any(timed_out))
 
 
-def strict_for_mode(mode: str) -> bool | None:
-    """Map a run/verify mode to replay's strict argument (None: the
-    sequence's own flag)."""
-    if mode == "strict":
-        return True
-    if mode == "lenient":
-        return False
-    return None
-
-
-def run_benchmark(cfg: RunConfig, sequence: OperationSequence | None = None) -> AggregateRow:
-    """Replay the instance `runs` times on fresh algorithm instances and
+def run_benchmark(cfg: RunConfig, sequence: OperationSequence) -> AggregateRow:
+    """Replay the sequence `runs` times on fresh algorithm instances and
     report per-aggregate medians.  A run that exceeds the timeout stops
     early and flags the row instead of raising."""
-    seq = load_sequence(cfg.instance) if sequence is None else sequence
     factory = algorithm_registry(cfg.algorithm)
-    strict = strict_for_mode(cfg.mode)
-    samples = [aggregate_replay(replay(seq, factory, strict=strict, timeout=cfg.timeout))
-               for _ in range(cfg.runs)]
-    med = median_aggregate(samples)
+    med = median_aggregate([aggregate_replay(replay(sequence, factory, timeout=cfg.timeout))
+                            for _ in range(cfg.runs)])
     return AggregateRow(
         instance=str(cfg.instance),
         algorithm=cfg.algorithm,
-        n=seq.n,
-        d_avg=med.live_edge_mean / seq.n if seq.n else 0.0,
-        sigma=len(seq.ops),
+        n=sequence.n,
+        d_avg=med.live_edge_mean / sequence.n,
+        sigma=len(sequence.ops),
         init_us=med.init_ns / 1000.0,
         ins_us=med.ins_ns / 1000.0,
         del_us=med.del_ns / 1000.0,
@@ -222,38 +196,11 @@ def run_benchmark(cfg: RunConfig, sequence: OperationSequence | None = None) -> 
     )
 
 
-CSV_COLUMNS = ("instance", "algorithm", "n", "d_avg", "sigma",
-               "init_us", "ins_us", "del_us", "upd_us", "qry_us",
-               "vertices_visited", "edges_scanned", "queue_pops",
-               "recomputations", "timed_out")
-
-
-def _format_row(row: AggregateRow) -> list[str]:
-    return [
-        row.instance,
-        row.algorithm,
-        str(row.n),
-        f"{row.d_avg:.6f}",
-        str(row.sigma),
-        f"{row.init_us:.3f}",
-        f"{row.ins_us:.3f}",
-        f"{row.del_us:.3f}",
-        f"{row.upd_us:.3f}",
-        f"{row.qry_us:.3f}",
-        str(row.vertices_visited),
-        str(row.edges_scanned),
-        str(row.queue_pops),
-        str(row.recomputations),
-        "1" if row.timed_out else "0",
-    ]
-
-
 def render_csv(rows: list[AggregateRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(_format_row(row))
+    writer.writerows([fmt(getattr(row, name)) for name, fmt in _COLUMNS] for row in rows)
     return buf.getvalue()
 
 

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, emit_csv,
-                    render_csv, run_benchmark, strict_for_mode)
+                    render_csv, run_benchmark)
 from .core import ReplayError, load_sequence, save_sequence, verify_against_oracle
 from .generators import (ErSpec, KroneckerSpec, gen_er_instance,
                          gen_kronecker_instance, inject_queries, shuffle_sequence)
@@ -67,7 +67,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--runs", type=int, default=3)
     run.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS")
     run.add_argument("--output", default=None, help="CSV path (stdout when omitted)")
-    run.add_argument("--mode", choices=("auto", "strict", "lenient"), default="auto")
     run.add_argument("--verify", action="store_true",
                      help="check answers against the oracle before timing")
     run.add_argument("--fail-on-timeout", action="store_true")
@@ -77,7 +76,6 @@ def _build_parser() -> _Parser:
     ver.add_argument("--instance", required=True)
     ver.add_argument("--algorithm", action="append", default=None,
                      help="config string; default sweeps the canonical set")
-    ver.add_argument("--mode", choices=("auto", "strict", "lenient"), default="auto")
     ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -199,40 +197,34 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_run(args) -> int:
     seq = load_sequence(args.instance)
-    strict = strict_for_mode(args.mode)
     rows = []
-    hit_timeout = False
     for spec in args.algorithm:
         factory = algorithm_registry(spec)
         if args.verify:
-            div = verify_against_oracle(seq, factory, strict=strict)
+            div = verify_against_oracle(seq, factory)
             if div is not None:
                 print(f"verification failed for {spec} at op {div.op_index}: "
                       f"vertex {div.vertex} got {div.got}, oracle says {div.want}",
                       file=sys.stderr)
                 return 2
-        cfg = RunConfig(instance=args.instance, algorithm=spec, runs=args.runs,
-                        timeout=args.timeout, mode=args.mode)
-        row = run_benchmark(cfg, sequence=seq)
-        hit_timeout = hit_timeout or row.timed_out
-        rows.append(row)
+        cfg = RunConfig(args.instance, spec, args.runs, args.timeout)
+        rows.append(run_benchmark(cfg, seq))
     if args.output:
         emit_csv(rows, args.output)
     else:
         sys.stdout.write(render_csv(rows))
-    if hit_timeout and args.fail_on_timeout:
+    if args.fail_on_timeout and any(row.timed_out for row in rows):
         return 3
     return 0
 
 
 def _cmd_verify(args) -> int:
     seq = load_sequence(args.instance)
-    strict = strict_for_mode(args.mode)
     specs = args.algorithm if args.algorithm else list(CANONICAL_SPECS)
     failed = False
     for spec in specs:
         factory = algorithm_registry(spec)
-        div = verify_against_oracle(seq, factory, strict=strict)
+        div = verify_against_oracle(seq, factory)
         if div is None:
             print(f"PASS {spec}")
         else:

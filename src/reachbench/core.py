@@ -65,8 +65,13 @@ def serialize_sequence(seq: OperationSequence) -> str:
     Layout: `# key=value` metadata comments (sorted), a `n <n> source <s>`
     header with an optional `lenient=1` token, one `i <u> <v>` line per
     initial edge, then one line per operation (`a <u> <v>`, `d <u> <v>`,
-    `q <t>`).
+    `q <t>`).  Raises ValueError on metadata that parse_sequence would not
+    read back.
     """
+    for k, v in seq.metadata.items():
+        if not k or "=" in k or any(c.isspace() for c in k + v):
+            raise ValueError(f"metadata {k!r}={v!r} would not read back: a key must be "
+                             "non-empty without '=', and neither may contain whitespace")
     lines = [f"# {k}={seq.metadata[k]}" for k in sorted(seq.metadata)]
     header = f"n {seq.n} source {seq.source}"
     if seq.lenient:
@@ -273,13 +278,12 @@ class ReplayError(RuntimeError):
 class ReplayResult:
     records: list[MeasurementRecord]
     answers: list[bool]
-    graph: DiGraph
     algorithm: SsrAlgorithm
     timed_out: bool
     mean_edges: float
 
 
-def _steps(seq: OperationSequence, factory: AlgorithmFactory, strict: bool | None,
+def _steps(seq: OperationSequence, factory: AlgorithmFactory,
            deadline: float | None = None) -> Iterator[tuple]:
     """The one mutate-then-notify loop behind every replay entry point.
 
@@ -289,13 +293,11 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory, strict: bool | Non
     Yields (op_index, op, graph, algorithm, answer, wall_ns, work) after
     initialize (op_index -1, op None) and after each op.  wall_ns times the
     routine call alone, work is the step's counter deltas, and answer is
-    the query's bool, else None.  strict None follows the sequence's own
-    flag; a lenient-skipped removal yields zero time and work.  Once
-    deadline (a time.perf_counter value) has passed, stops before the next
-    op.
+    the query's bool, else None.  A removal with no live match raises
+    ReplayError unless the sequence is flagged lenient, in which case it is
+    skipped and yields zero time and work.  Once deadline (a
+    time.perf_counter value) has passed, stops before the next op.
     """
-    if strict is None:
-        strict = not seq.lenient
     g = DiGraph(seq.n)
     add_edge = g.add_edge
     for u, v in seq.initial_edges:
@@ -329,7 +331,7 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory, strict: bool | Non
                 t0 = clock()
                 deleted(u, v, e)
                 t1 = clock()
-            elif strict:
+            elif not seq.lenient:
                 raise ReplayError(f"op {i}: no live edge ({u}, {v}) to remove")
             else:
                 t0 = t1 = 0
@@ -345,31 +347,29 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory, strict: bool | Non
 
 
 def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
-           strict: bool | None = None,
            timeout: float | None = None) -> ReplayResult:
     """Drive a fresh algorithm instance through seq, recording each
     routine's time and work.
 
-    strict defaults to the sequence's own flag; in lenient mode a removal
-    with no live match is skipped and recorded with zero work.  A timeout
-    (seconds) aborts between operations, flags the result timed_out, and
-    keeps partial records.
+    Only a sequence flagged lenient may remove an edge that is not live;
+    such a removal is skipped and recorded with zero work, and in any other
+    sequence it raises ReplayError.  A timeout (seconds) aborts between
+    operations, flags the result timed_out, and keeps partial records.
     """
     deadline = None if timeout is None else time.perf_counter() + timeout
     records: list[MeasurementRecord] = []
     answers: list[bool] = []
     edge_sum = 0
-    for i, op, g, alg, ans, ns, work in _steps(seq, factory, strict, deadline):
+    for i, op, g, alg, ans, ns, work in _steps(seq, factory, deadline):
         records.append(MeasurementRecord(i, INIT if op is None else op.kind, ns, *work))
         if ans is not None:
             answers.append(ans)
         edge_sum += g.edge_count
     timed_out = len(records) <= len(seq.ops)
-    return ReplayResult(records, answers, g, alg, timed_out, edge_sum / len(records))
+    return ReplayResult(records, answers, alg, timed_out, edge_sum / len(records))
 
 
-def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory, *,
-                   strict: bool | None = None,
+def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory
                    ) -> Iterator[tuple[int, Operation | None, DiGraph, SsrAlgorithm, bool | None]]:
     """Step-by-step replay for tests and verification drivers.
 
@@ -377,7 +377,7 @@ def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     (op_index -1, op None) and after each operation.  Lenient-skipped
     removals are yielded with answer None like updates.
     """
-    for i, op, g, alg, ans, _, _ in _steps(seq, factory, strict):
+    for i, op, g, alg, ans, _, _ in _steps(seq, factory):
         yield i, op, g, alg, ans
 
 
@@ -388,14 +388,14 @@ class Divergence(NamedTuple):
     want: bool
 
 
-def verify_against_oracle(seq: OperationSequence, factory: AlgorithmFactory, *,
-                          strict: bool | None = None) -> Divergence | None:
+def verify_against_oracle(seq: OperationSequence,
+                          factory: AlgorithmFactory) -> Divergence | None:
     """Replay seq, sweeping all vertices against a BFS oracle after
     initialize and every applied update and checking each query answer;
     returns the first divergence or None if the algorithm agrees everywhere."""
     source = seq.source
     live = -1
-    for i, op, g, alg, ans in iterate_replay(seq, factory, strict=strict):
+    for i, op, g, alg, ans in iterate_replay(seq, factory):
         if ans is not None:
             want = bool(oracle[op.u])
             if ans != want:

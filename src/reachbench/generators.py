@@ -188,7 +188,7 @@ def gen_kronecker_instance(spec: KroneckerSpec, source_rank: int = 0) -> Operati
                                 source_rank=source_rank, n=n)
     seq.metadata.update({
         "kind": "kron",
-        "initiator": repr(spec.initiator),
+        "initiator": ",".join(repr(x) for row in spec.initiator for x in row),
         "iterations": ",".join(map(str, spec.iterations)),
         "seed": str(spec.seed),
     })

@@ -152,5 +152,4 @@ class DiGraph:
                 assert self._endpoints[e] == (u, v)
         total = sum(len(ids) for ids in self._by_pair.values())
         assert total == len(self._endpoints)
-        for v in range(len(self._out)):
-            assert self.degree(v) == self.out_degree(v) + self.in_degree(v)
+        assert self._out_pos.keys() == self._in_pos.keys() == self._endpoints.keys()

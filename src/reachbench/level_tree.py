@@ -51,7 +51,7 @@ class _EsBase(SsrAlgorithm):
                  beta: float = math.inf, ratio: float = math.inf):
         super().__init__(graph, source, counters)
         if beta != math.inf:
-            if beta != int(beta) or beta < 1:
+            if not beta >= 1 or beta != int(beta):  # nan and -inf stop before int()
                 raise ValueError(f"beta must be an integer >= 1 or inf, got {beta}")
             beta = int(beta)
         if not ratio >= 0:

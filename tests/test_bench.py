@@ -24,6 +24,7 @@ from reachbench.core import (
     Operation,
     OperationSequence,
     WorkCounters,
+    load_sequence,
     save_sequence,
 )
 from reachbench.generators import ErSpec, gen_er_instance
@@ -96,8 +97,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(instance="x", algorithm="sbfs", runs=0)
     with pytest.raises(ValueError):
-        RunConfig(instance="x", algorithm="sbfs", mode="fast")
-    with pytest.raises(ValueError):
         RunConfig(instance="x", algorithm="sbfs", timeout=-1.0)
 
 
@@ -105,7 +104,8 @@ def test_run_benchmark_single_run(tmp_path):
     seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
     path = tmp_path / "inst.txt"
     save_sequence(seq, path)
-    row = run_benchmark(RunConfig(instance=path, algorithm="ses:5:.5", runs=1))
+    row = run_benchmark(RunConfig(instance=path, algorithm="ses:5:.5", runs=1),
+                        load_sequence(path))
     assert row.n == 25
     assert row.sigma == 90
     assert row.algorithm == "ses:5:.5"
@@ -283,7 +283,7 @@ def test_run_verify_divergence_exits_2(er_instance, capsys, monkeypatch):
     import reachbench.cli as cli
 
     monkeypatch.setattr(cli, "verify_against_oracle",
-                        lambda seq, factory, strict=None: Divergence(3, 1, True, False))
+                        lambda seq, factory: Divergence(3, 1, True, False))
     code = main(["run", "--instance", str(er_instance),
                  "--algorithm", "sbfs", "--verify"])
     assert code == 2
@@ -314,15 +314,25 @@ def test_run_missing_instance_exits_1(tmp_path, capsys):
                  "--algorithm", "sbfs"]) == 1
 
 
-def test_strict_mode_rejects_lenient_stream(tmp_path, capsys):
-    seq = OperationSequence(n=2, source=0, ops=[Operation.remove(0, 1)],
-                            lenient=True)
-    path = tmp_path / "lenient.seq"
-    save_sequence(seq, path)
-    assert main(["run", "--instance", str(path), "--algorithm", "sbfs",
-                 "--mode", "strict"]) == 1
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_sequence_header_alone_decides_leniency(tmp_path, capsys, verb):
+    ops = [Operation.remove(0, 1), Operation.query(1)]
+    strict = tmp_path / "strict.seq"
+    lenient = tmp_path / "lenient.seq"
+    save_sequence(OperationSequence(n=2, source=0, ops=ops), strict)
+    save_sequence(OperationSequence(n=2, source=0, ops=ops, lenient=True), lenient)
+    assert main([verb, "--instance", str(strict), "--algorithm", "sbfs"]) == 1
     assert "replay error" in capsys.readouterr().err
-    assert main(["run", "--instance", str(path), "--algorithm", "sbfs"]) == 0
+    assert main([verb, "--instance", str(lenient), "--algorithm", "sbfs"]) == 0
+    if verb == "verify":
+        assert capsys.readouterr().out == "PASS sbfs\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_mode_flag_is_a_usage_error(tmp_path, capsys, verb):
+    assert main([verb, "--instance", str(tmp_path / "absent.seq"), "--algorithm", "sbfs",
+                 "--mode", "strict"]) == 1
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 def test_verify_sweeps_canonical_set(tmp_path, capsys):
@@ -344,7 +354,7 @@ def test_verify_reports_failures(tmp_path, capsys, monkeypatch):
     path = tmp_path / "v.seq"
     save_sequence(seq, path)
     monkeypatch.setattr(cli, "verify_against_oracle",
-                        lambda seq, factory, strict=None: Divergence(7, 2, False, True))
+                        lambda seq, factory: Divergence(7, 2, False, True))
     code = main(["verify", "--instance", str(path), "--algorithm", "sbfs"])
     assert code == 2
     assert "FAIL sbfs: op 7, vertex 2, got False, oracle says True" in capsys.readouterr().out

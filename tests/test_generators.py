@@ -2,7 +2,8 @@
 
 import pytest
 
-from reachbench.core import ADD, QUERY, REMOVE, Operation, OperationSequence, replay, serialize_sequence
+from reachbench.core import (ADD, QUERY, REMOVE, Operation, OperationSequence, load_sequence,
+                             replay, save_sequence, serialize_sequence)
 from reachbench.generators import (
     ErSpec,
     KroneckerSpec,
@@ -68,12 +69,13 @@ def test_er_metadata_matches_operation_tally():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_er_deletions_always_hit_live_edges(seed):
-    # deletion-heavy mix: a strict replay proves every removal had a target
+    # deletion-heavy mix: a replay of a non-lenient sequence proves every
+    # removal had a target
     spec = ErSpec(n=20, d=0.5, sigma=200, seed=seed,
                   p_insert=0.2, p_delete=0.6, p_query=0.2)
     seq = gen_er_instance(spec)
     assert not seq.lenient
-    replay(seq, StaticBfs, strict=True)
+    replay(seq, StaticBfs)
 
 
 def test_er_redraws_kind_while_nothing_is_deletable():
@@ -81,7 +83,8 @@ def test_er_redraws_kind_while_nothing_is_deletable():
                                  p_insert=0.5, p_delete=0.5, p_query=0.0))
     assert len(seq.ops) == 40
     assert seq.ops[0].kind == ADD
-    replay(seq, StaticBfs, strict=True)
+    assert not seq.lenient
+    replay(seq, StaticBfs)
 
 
 def test_er_rejects_deletion_only_mix_on_empty_graph():
@@ -137,7 +140,17 @@ def test_kronecker_instance_has_power_of_two_universe():
     assert seq.metadata["kind"] == "kron"
     assert all(op.kind != QUERY for op in seq.ops)
     assert serialize_sequence(seq) == serialize_sequence(gen_kronecker_instance(spec))
-    replay(seq, CachingBfs, strict=True)
+    assert not seq.lenient
+    replay(seq, CachingBfs)
+
+
+def test_kronecker_metadata_survives_save_and_load(tmp_path):
+    spec = KroneckerSpec.growing(((0.9, 0.5), (0.5, 0.1)), 3, 4, seed=1)
+    seq = gen_kronecker_instance(spec)
+    assert seq.metadata["initiator"] == "0.9,0.5,0.5,0.1"
+    path = tmp_path / "kron.seq"
+    save_sequence(seq, path)
+    assert load_sequence(path).metadata == seq.metadata
 
 
 # ---- snapshot differencing ----
@@ -167,7 +180,8 @@ def test_diff_blocks_preserve_snapshot_order():
               | {Operation.remove(0, v) for v in (2, 3, 4, 5)})
     assert set(seq.ops[:5]) == block1
     assert set(seq.ops[5:]) == block2
-    replay(seq, StaticBfs, strict=True)
+    assert not seq.lenient
+    replay(seq, StaticBfs)
 
 
 def test_source_ranking_by_out_degree_then_id():

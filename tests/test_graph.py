@@ -122,6 +122,18 @@ def test_swap_removal_moves_last_entry_into_hole():
     g.check_invariants()
 
 
+@pytest.mark.parametrize("table", ["_out_pos", "_in_pos"])
+def test_check_invariants_catches_stale_position_of_dead_edge(table):
+    g = DiGraph(2)
+    g.add_edge(0, 1)
+    dead = g.add_edge(1, 0)
+    g.remove_edge(dead)
+    g.check_invariants()
+    getattr(g, table)[dead] = 0
+    with pytest.raises(AssertionError):
+        g.check_invariants()
+
+
 def test_edges_listing_sorted_by_id():
     g = DiGraph(3)
     e1 = g.add_edge(2, 0)

@@ -36,8 +36,8 @@ def unlimited(cls):
 
 def test_parameter_validation():
     g = DiGraph(1)
-    for bad_beta in (0, -1, 2.5):
-        with pytest.raises(ValueError):
+    for bad_beta in (0, -1, 2.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be an integer >= 1 or inf"):
             EvenShiloachTree(g, 0, WorkCounters(), beta=bad_beta)
     for cls in VARIANTS:
         for bad_ratio in (-0.5, math.nan):
