@@ -182,8 +182,7 @@ class WorkCounters:
                 self.queue_pops, self.recomputations)
 
 
-@dataclass
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Per-operation costs; op_index is -1 for the initialize record."""
 
     op_index: int
@@ -298,10 +297,8 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory,
     skipped and yields zero time and work.  Once deadline (a
     time.perf_counter value) has passed, stops before the next op.
     """
-    g = DiGraph(seq.n)
-    add_edge = g.add_edge
-    for u, v in seq.initial_edges:
-        add_edge(u, v)
+    g = DiGraph.from_edges(seq.n, seq.initial_edges)
+    add_edge, find_edge, remove_edge = g.add_edge, g.find_edge, g.remove_edge
     counters = WorkCounters()
     alg = factory(g, seq.source, counters)
     snapshot = counters.snapshot
@@ -325,9 +322,9 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory,
             inserted(u, v, e)
             t1 = clock()
         elif kind == REMOVE:
-            e = g.find_edge(u, v)
+            e = find_edge(u, v)
             if e is not None:
-                g.remove_edge(e)
+                remove_edge(e)
                 t0 = clock()
                 deleted(u, v, e)
                 t1 = clock()
@@ -360,8 +357,9 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     records: list[MeasurementRecord] = []
     answers: list[bool] = []
     edge_sum = 0
+    record = MeasurementRecord._make
     for i, op, g, alg, ans, ns, work in _steps(seq, factory, deadline):
-        records.append(MeasurementRecord(i, INIT if op is None else op.kind, ns, *work))
+        records.append(record((i, INIT if op is None else op.kind, ns, *work)))
         if ans is not None:
             answers.append(ans)
         edge_sum += g.edge_count

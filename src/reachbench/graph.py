@@ -1,6 +1,9 @@
-"""Dynamic directed multigraph with stable edge ids and O(1) removal."""
+"""Dynamic directed multigraph with stable edge ids."""
 
 from __future__ import annotations
+
+from operator import itemgetter
+from typing import Sequence
 
 
 class DiGraph:
@@ -15,21 +18,39 @@ class DiGraph:
     Incidence entries are (edge_id, other_endpoint) pairs.  The lists
     returned by out_edges()/in_edges(), and the per-vertex table of out-lists
     returned by out_lists, are the live internals: treat them as read-only.
+
+    Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
+    tail's out-list and its head's in-list), found by a scan of each;
+    find_edge(u, v) is O(min(out-degree of u, in-degree of v)).
     """
 
-    __slots__ = ("_out", "_in", "_endpoints", "_out_pos", "_in_pos",
-                 "_by_pair", "_next_edge")
+    __slots__ = ("_out", "_in", "_tail", "_head", "_live")
 
     def __init__(self, n: int = 0):
         self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._endpoints: dict[int, tuple[int, int]] = {}
-        # position of each live edge inside its tail's out list / head's in list
-        self._out_pos: dict[int, int] = {}
-        self._in_pos: dict[int, int] = {}
-        # (u, v) -> live edge ids in insertion order, for endpoint lookups
-        self._by_pair: dict[tuple[int, int], list[int]] = {}
-        self._next_edge = 0
+        # endpoints by edge id; a dead edge has _tail[e] == -1
+        self._tail: list[int] = []
+        self._head: list[int] = []
+        self._live = 0
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "DiGraph":
+        """The graph that DiGraph(n) plus add_edge(u, v) for each (u, v) in
+        edges, in order, would build: same ids, same list order, and
+        add_edge's ValueError for the first out-of-range edge."""
+        g = cls(n)
+        tails = list(map(itemgetter(0), edges))
+        heads = list(map(itemgetter(1), edges))
+        if edges and (min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n):
+            for u, v in edges:
+                g.add_edge(u, v)  # raises at the first out-of-range edge
+        out, inc = g._out, g._in
+        for e, (u, v) in enumerate(edges):
+            out[u].append((e, v))
+            inc[v].append((e, u))
+        g._tail, g._head, g._live = tails, heads, len(tails)
+        return g
 
     # ---- size ----
 
@@ -39,7 +60,7 @@ class DiGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._endpoints)
+        return self._live
 
     # ---- mutation ----
 
@@ -52,55 +73,58 @@ class DiGraph:
         n = len(self._out)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        e = self._next_edge
-        self._next_edge = e + 1
-        self._endpoints[e] = (u, v)
-        self._out_pos[e] = len(self._out[u])
+        e = len(self._tail)
+        self._tail.append(u)
+        self._head.append(v)
+        self._live += 1
         self._out[u].append((e, v))
-        self._in_pos[e] = len(self._in[v])
         self._in[v].append((e, u))
-        self._by_pair.setdefault((u, v), []).append(e)
         return e
 
     def remove_edge(self, e: int) -> tuple[int, int]:
         """Remove a live edge, returning its (tail, head)."""
-        try:
-            u, v = self._endpoints.pop(e)
-        except KeyError:
-            raise ValueError(f"edge id {e} is not live") from None
+        u, v = self.endpoints(e)
+        self._tail[e] = -1
+        self._live -= 1
         lst = self._out[u]
-        pos = self._out_pos.pop(e)
+        pos = lst.index((e, v))
         last = lst.pop()
-        if last[0] != e:
+        if pos < len(lst):
             lst[pos] = last
-            self._out_pos[last[0]] = pos
         lst = self._in[v]
-        pos = self._in_pos.pop(e)
+        pos = lst.index((e, u))
         last = lst.pop()
-        if last[0] != e:
+        if pos < len(lst):
             lst[pos] = last
-            self._in_pos[last[0]] = pos
-        ids = self._by_pair[(u, v)]
-        ids.remove(e)
-        if not ids:
-            del self._by_pair[(u, v)]
         return (u, v)
 
     # ---- lookup ----
 
     def find_edge(self, u: int, v: int) -> int | None:
         """Most recently inserted live (u, v) edge, or None."""
-        ids = self._by_pair.get((u, v))
-        return ids[-1] if ids else None
+        n = len(self._out)
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        # scan the shorter list: u's out-entries for head v, or v's in-entries for tail u
+        lst, other = self._out[u], v
+        if len(self._in[v]) < len(lst):
+            lst, other = self._in[v], u
+        best = -1
+        for e, w in lst:
+            if w == other and e > best:
+                best = e
+        return best if best >= 0 else None
 
     def is_live(self, e: int) -> bool:
-        return e in self._endpoints
+        try:
+            return e >= 0 and self._tail[e] >= 0
+        except (IndexError, TypeError):
+            return False
 
     def endpoints(self, e: int) -> tuple[int, int]:
-        try:
-            return self._endpoints[e]
-        except KeyError:
-            raise ValueError(f"edge id {e} is not live") from None
+        if self.is_live(e):
+            return (self._tail[e], self._head[e])
+        raise ValueError(f"edge id {e} is not live")
 
     def out_edges(self, v: int) -> list[tuple[int, int]]:
         return self._out[v]
@@ -126,30 +150,19 @@ class DiGraph:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All live edges as (edge_id, tail, head), in id order."""
-        return [(e, uv[0], uv[1]) for e, uv in sorted(self._endpoints.items())]
+        return [(e, u, self._head[e]) for e, u in enumerate(self._tail) if u >= 0]
 
     # ---- debug ----
 
     def check_invariants(self) -> None:
         """Full-scan consistency check; raises AssertionError on corruption."""
-        seen = 0
-        for u, lst in enumerate(self._out):
-            for pos, (e, v) in enumerate(lst):
-                assert self._endpoints[e] == (u, v)
-                assert self._out_pos[e] == pos
-                seen += 1
-        assert seen == len(self._endpoints)
-        seen = 0
-        for v, lst in enumerate(self._in):
-            for pos, (e, u) in enumerate(lst):
-                assert self._endpoints[e] == (u, v)
-                assert self._in_pos[e] == pos
-                seen += 1
-        assert seen == len(self._endpoints)
-        for (u, v), ids in self._by_pair.items():
-            assert ids == sorted(ids)
-            for e in ids:
-                assert self._endpoints[e] == (u, v)
-        total = sum(len(ids) for ids in self._by_pair.values())
-        assert total == len(self._endpoints)
-        assert self._out_pos.keys() == self._in_pos.keys() == self._endpoints.keys()
+        tail, head = self._tail, self._head
+        assert len(tail) == len(head)
+        live = [e for e, u in enumerate(tail) if u >= 0]
+        assert self._live == len(live)
+        for lists, own, other in ((self._out, tail, head), (self._in, head, tail)):
+            for x, lst in enumerate(lists):
+                for e, y in lst:
+                    assert own[e] == x and other[e] == y
+            # each live edge exactly once, no dead one
+            assert sorted(e for lst in lists for e, _ in lst) == live

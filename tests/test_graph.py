@@ -1,7 +1,5 @@
 """Dynamic multigraph: id stability, multi-edges, swap removal."""
 
-from collections import defaultdict
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +101,33 @@ def test_dead_edge_lookups_raise():
         g.endpoints(e)
 
 
+@pytest.mark.parametrize("bad", [1, -1, -2, 3, None], ids=["dead", "minus-one", "negative",
+                                                          "out-of-range", "none"])
+def test_ids_that_are_not_live_raise_and_leave_the_graph_alone(bad):
+    g = DiGraph(2)
+    g.add_edge(0, 1)
+    g.remove_edge(g.add_edge(1, 0))
+    g.add_edge(1, 1)
+    before = g.edges()
+    assert not g.is_live(bad)
+    with pytest.raises(ValueError, match="is not live"):
+        g.endpoints(bad)
+    with pytest.raises(ValueError, match="is not live"):
+        g.remove_edge(bad)
+    assert g.edges() == before
+    g.check_invariants()
+
+
+def test_find_edge_outside_the_vertex_range_is_none():
+    g = DiGraph(2)
+    g.add_edge(1, 0)
+    g.add_edge(0, 1)
+    assert g.find_edge(-1, 0) is None
+    assert g.find_edge(1, -2) is None
+    assert g.find_edge(2, 0) is None
+    assert g.find_edge(0, 2) is None
+
+
 def test_incidence_entries_pair_id_with_other_endpoint():
     g = DiGraph(3)
     e1 = g.add_edge(0, 1)
@@ -122,16 +147,65 @@ def test_swap_removal_moves_last_entry_into_hole():
     g.check_invariants()
 
 
-@pytest.mark.parametrize("table", ["_out_pos", "_in_pos"])
-def test_check_invariants_catches_stale_position_of_dead_edge(table):
+def _plant_dead_id(g, dead):
+    g._out[1].append((dead, 0))
+
+
+def _plant_wrong_head(g, dead):
+    g._head[0] = 0
+
+
+def _plant_live_count(g, dead):
+    g._live += 1
+
+
+@pytest.mark.parametrize("corrupt", [_plant_dead_id, _plant_wrong_head, _plant_live_count],
+                         ids=["dead-id-listed", "endpoint-disagrees", "live-count-off"])
+def test_check_invariants_catches_corruption(corrupt):
     g = DiGraph(2)
     g.add_edge(0, 1)
     dead = g.add_edge(1, 0)
     g.remove_edge(dead)
     g.check_invariants()
-    getattr(g, table)[dead] = 0
+    corrupt(g, dead)
     with pytest.raises(AssertionError):
         g.check_invariants()
+
+
+def _state(g):
+    n = g.vertex_count
+    return (n, g.edge_count, g.edges(), [g.out_edges(v) for v in range(n)],
+            [g.in_edges(v) for v in range(n)])
+
+
+@pytest.mark.parametrize("n,edges", [
+    (1, []),
+    (3, []),
+    (1, [(0, 0), (0, 0)]),
+    (3, [(0, 1), (0, 1), (1, 2), (2, 2), (0, 1), (2, 0)]),
+    (4, [(3, 0), (1, 2), (0, 3), (3, 0), (2, 2), (1, 2)]),
+], ids=["n1-empty", "empty", "self-loops", "parallel", "mixed"])
+def test_from_edges_equals_add_edge_loop(n, edges):
+    loop = DiGraph(n)
+    for u, v in edges:
+        loop.add_edge(u, v)
+    bulk = DiGraph.from_edges(n, edges)
+    bulk.check_invariants()
+    assert _state(bulk) == _state(loop)
+    assert bulk.add_edge(0, 0) == loop.add_edge(0, 0)
+    for e, _, _ in loop.edges()[::2]:
+        assert bulk.remove_edge(e) == loop.remove_edge(e)
+    assert _state(bulk) == _state(loop)
+
+
+@pytest.mark.parametrize("bad", [(1, 3), (3, 1), (-1, 0), (0, -1)])
+def test_from_edges_rejects_out_of_range_edge_like_add_edge(bad):
+    edges = [(0, 1), (2, 2), bad, (1, 0)]
+    with pytest.raises(ValueError) as want:
+        DiGraph(3).add_edge(*bad)
+    with pytest.raises(ValueError) as got:
+        DiGraph.from_edges(3, edges)
+    assert str(got.value) == str(want.value)
 
 
 def test_edges_listing_sorted_by_id():
@@ -146,31 +220,62 @@ def test_edges_listing_sorted_by_id():
 @st.composite
 def edit_scripts(draw):
     n = draw(st.integers(min_value=1, max_value=8))
-    pair = st.tuples(st.booleans(), st.integers(0, n - 1), st.integers(0, n - 1))
-    return n, draw(st.lists(pair, max_size=60))
+    vertex = st.integers(0, n - 1)
+    step = st.one_of(st.tuples(st.just("add"), vertex, vertex),
+                     st.tuples(st.just("remove_pair"), vertex, vertex),
+                     st.tuples(st.just("remove_id"), st.integers(0, 1000)))
+    return n, draw(st.lists(step, max_size=60))
+
+
+def _swap_remove(lst, entry):
+    pos = lst.index(entry)
+    last = lst.pop()
+    if pos < len(lst):
+        lst[pos] = last
 
 
 @given(edit_scripts())
 @settings(max_examples=200)
 def test_random_interleaving_matches_naive_model(script):
-    """Arbitrary add/remove mixes tracked against a per-pair id-stack model."""
+    """Arbitrary add/remove mixes tracked against a model of every incidence
+    list under the swap-remove rule, compared in order after each step.
+    Removals take the newest (u, v) edge, as replay does, or any live id."""
     n, steps = script
     g = DiGraph(n)
-    live: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for is_add, u, v in steps:
-        if is_add:
-            live[(u, v)].append(g.add_edge(u, v))
-        elif live[(u, v)]:
-            e = live[(u, v)][-1]
-            assert g.find_edge(u, v) == e
-            assert g.remove_edge(e) == (u, v)
-            live[(u, v)].pop()
+    out = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    ends: dict[int, tuple[int, int]] = {}  # live id -> (tail, head)
+    next_id = 0
+    for kind, *args in steps:
+        if kind == "add":
+            u, v = args
+            assert g.add_edge(u, v) == next_id
+            ends[next_id] = (u, v)
+            out[u].append((next_id, v))
+            inc[v].append((next_id, u))
+            next_id += 1
+            continue
+        if kind == "remove_pair":
+            ids = [e for e, uv in ends.items() if uv == tuple(args)]
+            e = max(ids) if ids else None
+            assert g.find_edge(*args) == e
         else:
-            assert g.find_edge(u, v) is None
+            e = sorted(ends)[args[0] % len(ends)] if ends else None
+        if e is None:
+            continue
+        u, v = ends.pop(e)
+        assert g.remove_edge(e) == (u, v)
+        assert not g.is_live(e)
+        _swap_remove(out[u], (e, v))
+        _swap_remove(inc[v], (e, u))
+        assert [g.out_edges(x) for x in range(n)] == out
+        assert [g.in_edges(x) for x in range(n)] == inc
     g.check_invariants()
-    assert g.edge_count == sum(len(ids) for ids in live.values())
-    for (u, v), ids in live.items():
-        assert g.find_edge(u, v) == (ids[-1] if ids else None)
-    for v in range(n):
-        assert g.out_degree(v) == sum(len(ids) for (a, _), ids in live.items() if a == v)
-        assert g.in_degree(v) == sum(len(ids) for (_, b), ids in live.items() if b == v)
+    assert g.edge_count == len(ends)
+    assert g.edges() == [(e, *ends[e]) for e in sorted(ends)]
+    assert [g.out_edges(x) for x in range(n)] == out
+    assert [g.in_edges(x) for x in range(n)] == inc
+    for u in range(n):
+        for v in range(n):
+            ids = [e for e, uv in ends.items() if uv == (u, v)]
+            assert g.find_edge(u, v) == (max(ids) if ids else None)
