@@ -1,49 +1,27 @@
 """Fully dynamic single-source reachability: a directed multigraph substrate,
 dynamized static searches, reachability- and level-tree algorithms, seeded
-instance generators, real-world stream ingestion, and a benchmark harness."""
+instance generators, real-world stream ingestion, and a benchmark harness.
 
-from .bench import (CANONICAL_SPECS, AggregateRow, AlgorithmSpecError,
-                    RunConfig, algorithm_registry, emit_csv, render_csv,
-                    run_benchmark)
-from .core import (ADD, INIT, QUERY, REMOVE, Divergence, MeasurementRecord,
-                   Operation, OperationSequence, ReplayError, ReplayResult,
-                   SequenceFormatError, SsrAlgorithm, WorkCounters,
-                   iterate_replay, load_sequence, oracle_levels,
-                   oracle_reach_set, oracle_reachable, parse_sequence, replay,
-                   save_sequence, serialize_sequence, verify_against_oracle)
-from .generators import (ErSpec, KroneckerSpec, gen_er_instance,
-                         gen_kronecker_instance, gen_kronecker_snapshot,
-                         inject_queries, shuffle_sequence,
-                         snapshots_to_sequence)
+The package root exports what the README and the benchmark use; everything
+else is imported from its submodule."""
+
+from .bench import AggregateRow, algorithm_registry, render_csv
+from .core import (ADD, QUERY, REMOVE, OperationSequence, ReplayError,
+                   WorkCounters, iterate_replay, oracle_reach_set,
+                   parse_sequence, replay, serialize_sequence,
+                   verify_against_oracle)
+from .generators import (ErSpec, gen_er_instance, gen_kronecker_snapshot,
+                         inject_queries)
 from .graph import DiGraph
-from .ingest import (IngestError, TemporalEdgeEvent, VertexLabels,
-                     events_to_sequence, ingest_snapshots, ingest_temporal,
-                     parse_snapshot_file, parse_temporal_stream,
-                     snapshots_from_files)
-from .level_tree import (DeletionStats, EvenShiloachTree, MultiLevelEsTree,
-                         SimplifiedEsTree)
-from .reach_tree import IncrementalReachTree
-from .static_search import (CachingBfs, CachingDfs, LazyBfs, LazyDfs,
-                            StaticBfs, StaticDfs)
+from .ingest import ingest_snapshots
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADD", "INIT", "QUERY", "REMOVE",
-    "AggregateRow", "AlgorithmSpecError", "CANONICAL_SPECS", "CachingBfs",
-    "CachingDfs", "DeletionStats", "DiGraph", "Divergence", "ErSpec",
-    "EvenShiloachTree", "IncrementalReachTree", "IngestError",
-    "KroneckerSpec", "LazyBfs", "LazyDfs", "MeasurementRecord",
-    "MultiLevelEsTree", "Operation", "OperationSequence", "ReplayError",
-    "ReplayResult", "RunConfig", "SequenceFormatError", "SimplifiedEsTree",
-    "SsrAlgorithm", "StaticBfs", "StaticDfs", "TemporalEdgeEvent",
-    "VertexLabels", "WorkCounters", "algorithm_registry", "emit_csv",
-    "events_to_sequence", "gen_er_instance", "gen_kronecker_instance",
-    "gen_kronecker_snapshot", "ingest_snapshots", "ingest_temporal",
-    "inject_queries", "iterate_replay", "load_sequence", "oracle_levels",
-    "oracle_reach_set", "oracle_reachable", "parse_sequence",
-    "parse_snapshot_file", "parse_temporal_stream", "render_csv", "replay",
-    "run_benchmark", "save_sequence", "serialize_sequence",
-    "shuffle_sequence", "snapshots_from_files", "snapshots_to_sequence",
-    "verify_against_oracle",
+    "ADD", "QUERY", "REMOVE",
+    "AggregateRow", "DiGraph", "ErSpec", "OperationSequence", "ReplayError",
+    "WorkCounters", "algorithm_registry", "gen_er_instance",
+    "gen_kronecker_snapshot", "ingest_snapshots", "inject_queries",
+    "iterate_replay", "oracle_reach_set", "parse_sequence", "render_csv",
+    "replay", "serialize_sequence", "verify_against_oracle",
 ]

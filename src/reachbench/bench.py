@@ -202,7 +202,3 @@ def render_csv(rows: list[AggregateRow]) -> str:
     writer.writerow(CSV_COLUMNS)
     writer.writerows([fmt(getattr(row, name)) for name, fmt in _COLUMNS] for row in rows)
     return buf.getvalue()
-
-
-def emit_csv(rows: list[AggregateRow], path: str | Path) -> None:
-    Path(path).write_text(render_csv(rows), encoding="ascii")

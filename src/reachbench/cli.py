@@ -7,8 +7,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, emit_csv,
-                    render_csv, run_benchmark)
+from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, render_csv,
+                    run_benchmark)
 from .core import ReplayError, load_sequence, save_sequence, verify_against_oracle
 from .generators import (ErSpec, KroneckerSpec, gen_er_instance,
                          gen_kronecker_instance, inject_queries, shuffle_sequence)
@@ -210,7 +210,7 @@ def _cmd_run(args) -> int:
         cfg = RunConfig(args.instance, spec, args.runs, args.timeout)
         rows.append(run_benchmark(cfg, seq))
     if args.output:
-        emit_csv(rows, args.output)
+        Path(args.output).write_text(render_csv(rows), encoding="ascii")
     else:
         sys.stdout.write(render_csv(rows))
     if args.fail_on_timeout and any(row.timed_out for row in rows):

@@ -25,18 +25,6 @@ class Operation(NamedTuple):
     u: int
     v: int = -1
 
-    @classmethod
-    def add(cls, u: int, v: int) -> "Operation":
-        return cls(ADD, u, v)
-
-    @classmethod
-    def remove(cls, u: int, v: int) -> "Operation":
-        return cls(REMOVE, u, v)
-
-    @classmethod
-    def query(cls, t: int) -> "Operation":
-        return cls(QUERY, t)
-
 
 @dataclass
 class OperationSequence:
@@ -204,8 +192,6 @@ class SsrAlgorithm:
     graph; all state is built in initialize().
     """
 
-    name = "ssr"
-
     def __init__(self, graph: DiGraph, source: int, counters: WorkCounters):
         self.graph = graph
         self.source = source
@@ -235,18 +221,14 @@ def oracle_reach_set(graph: DiGraph, source: int) -> bytearray:
     reached = bytearray(graph.vertex_count)
     reached[source] = 1
     queue = deque([source])
-    out = graph.out_edges
+    out = graph.out_lists
     while queue:
         x = queue.popleft()
-        for _, w in out(x):
+        for _, w in out[x]:
             if not reached[w]:
                 reached[w] = 1
                 queue.append(w)
     return reached
-
-
-def oracle_reachable(graph: DiGraph, source: int, t: int) -> bool:
-    return bool(oracle_reach_set(graph, source)[t])
 
 
 def oracle_levels(graph: DiGraph, source: int) -> list[int]:
@@ -255,11 +237,11 @@ def oracle_levels(graph: DiGraph, source: int) -> list[int]:
     level = [n] * n
     level[source] = 0
     queue = deque([source])
-    out = graph.out_edges
+    out = graph.out_lists
     while queue:
         x = queue.popleft()
         lx = level[x] + 1
-        for _, w in out(x):
+        for _, w in out[x]:
             if level[w] == n:
                 level[w] = lx
                 queue.append(w)

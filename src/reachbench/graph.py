@@ -13,11 +13,12 @@ class DiGraph:
     reused.  Incidence lists (out-edges keyed by tail, in-edges keyed by
     head) grow by appending; removing an edge swaps the last list entry into
     the vacated slot, so deletions perturb list order.  Parallel edges and
-    self-loops are allowed; vertices cannot be removed.
+    self-loops are allowed; the vertex set is fixed at construction.
 
-    Incidence entries are (edge_id, other_endpoint) pairs.  The lists
-    returned by out_edges()/in_edges(), and the per-vertex table of out-lists
-    returned by out_lists, are the live internals: treat them as read-only.
+    Incidence entries are (edge_id, other_endpoint) pairs.  out_lists and
+    in_lists are the live per-vertex incidence tables (out_lists[v] holds
+    v's out-entries, in_lists[v] its in-entries), not copies: they are the
+    one way to read incidence lists, and are read-only to callers.
 
     Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
     tail's out-list and its head's in-list), found by a scan of each;
@@ -64,21 +65,19 @@ class DiGraph:
 
     # ---- mutation ----
 
-    def add_vertex(self) -> int:
-        self._out.append([])
-        self._in.append([])
-        return len(self._out) - 1
-
     def add_edge(self, u: int, v: int) -> int:
         n = len(self._out)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        # both lookups before the first write: a non-int endpoint raises
+        # TypeError here and leaves the graph as it was
+        out_u, in_v = self._out[u], self._in[v]
         e = len(self._tail)
         self._tail.append(u)
         self._head.append(v)
         self._live += 1
-        self._out[u].append((e, v))
-        self._in[v].append((e, u))
+        out_u.append((e, v))
+        in_v.append((e, u))
         return e
 
     def remove_edge(self, e: int) -> tuple[int, int]:
@@ -126,27 +125,15 @@ class DiGraph:
             return (self._tail[e], self._head[e])
         raise ValueError(f"edge id {e} is not live")
 
-    def out_edges(self, v: int) -> list[tuple[int, int]]:
-        return self._out[v]
-
     @property
     def out_lists(self) -> list[list[tuple[int, int]]]:
-        """The out-list of every vertex, indexed by tail: out_lists[v] is
-        out_edges(v).  Live and read-only, for traversals that would
-        otherwise call out_edges() once per vertex."""
+        """Out-entries of every vertex, indexed by tail; live and read-only."""
         return self._out
 
-    def in_edges(self, v: int) -> list[tuple[int, int]]:
-        return self._in[v]
-
-    def out_degree(self, v: int) -> int:
-        return len(self._out[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self._in[v])
-
-    def degree(self, v: int) -> int:
-        return len(self._out[v]) + len(self._in[v])
+    @property
+    def in_lists(self) -> list[list[tuple[int, int]]]:
+        """In-entries of every vertex, indexed by head; live and read-only."""
+        return self._in
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All live edges as (edge_id, tail, head), in id order."""

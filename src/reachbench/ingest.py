@@ -41,12 +41,6 @@ class VertexLabels:
             self._labels.append(label)
         return i
 
-    def id_of(self, label: str) -> int:
-        try:
-            return self._ids[label]
-        except KeyError:
-            raise IngestError(f"unknown vertex label {label!r}") from None
-
     def label_of(self, i: int) -> str:
         return self._labels[i]
 
@@ -94,19 +88,17 @@ def events_to_sequence(events: list[TemporalEdgeEvent]) -> tuple[OperationSequen
     if not events:
         raise IngestError("empty event stream")
     labels = VertexLabels()
-    for ev in events:
-        labels.intern(ev.tail)
-        labels.intern(ev.head)
-    ordered = sorted(events, key=lambda ev: ev.timestamp)
-    min_ts = ordered[0].timestamp
+    intern = labels.intern
+    # (timestamp, sign, tail id, head id), interned in file order
+    rows = [(ev.timestamp, ev.sign, intern(ev.tail), intern(ev.head)) for ev in events]
+    rows.sort(key=lambda row: row[0])
+    min_ts = rows[0][0]
     source: int | None = None
     initial: list[tuple[int, int]] = []
     i = 0
-    while i < len(ordered) and ordered[i].timestamp == min_ts:
-        ev = ordered[i]
-        u = labels.id_of(ev.tail)
-        v = labels.id_of(ev.head)
-        if ev.sign > 0:
+    while i < len(rows) and rows[i][0] == min_ts:
+        _, sign, u, v = rows[i]
+        if sign > 0:
             if source is None:
                 source = u
             initial.append((u, v))
@@ -118,9 +110,7 @@ def events_to_sequence(events: list[TemporalEdgeEvent]) -> tuple[OperationSequen
         i += 1
     if source is None:
         raise IngestError("no insertion among the minimum-timestamp events; no source derivable")
-    ops = [Operation(ADD if ev.sign > 0 else REMOVE,
-                     labels.id_of(ev.tail), labels.id_of(ev.head))
-           for ev in ordered[i:]]
+    ops = [Operation(ADD if sign > 0 else REMOVE, u, v) for _, sign, u, v in rows[i:]]
     metadata = {"kind": "temporal", "events": str(len(events))}
     seq = OperationSequence(n=len(labels), source=source, initial_edges=initial,
                             ops=ops, lenient=True, metadata=metadata)
@@ -169,23 +159,18 @@ def parse_snapshot_file(text: str, labels: VertexLabels, *,
     return edges
 
 
-def snapshots_from_files(paths: list[str | Path]) -> tuple[list[set[tuple[int, int]]], VertexLabels]:
-    labels = VertexLabels()
-    snapshots = []
-    for p in paths:
-        p = Path(p)
-        snapshots.append(parse_snapshot_file(p.read_text(encoding="ascii"),
-                                             labels, filename=p.name))
-    return snapshots, labels
-
-
 def ingest_snapshots(paths: list[str | Path], *, seed: int = 0,
                      source_rank: int = 0) -> tuple[OperationSequence, VertexLabels]:
     """Read relationship snapshot files in stream order and lower them to a
     sequence of diff blocks; ids are shared across all files."""
     if len(paths) < 2:
         raise IngestError("need at least two snapshot files")
-    snapshots, labels = snapshots_from_files(paths)
+    labels = VertexLabels()
+    snapshots = []
+    for p in paths:
+        p = Path(p)
+        snapshots.append(parse_snapshot_file(p.read_text(encoding="ascii"),
+                                             labels, filename=p.name))
     seq = snapshots_to_sequence(snapshots, seed=seed, source_rank=source_rank,
                                 n=len(labels))
     return seq, labels

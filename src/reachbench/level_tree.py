@@ -125,11 +125,11 @@ class _IndexedEs(_EsBase):
         visits = 1
         scans = 0
         q = deque([s])
-        out = g.out_edges
+        out = g.out_lists
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e, w in out(x):
+            for e, w in out[x]:
                 scans += 1
                 lst = in_list[w]
                 pos = len(lst)
@@ -143,7 +143,7 @@ class _IndexedEs(_EsBase):
         # edges out of unreachable tails, in vertex order, after all others
         for x in range(n):
             if level[x] == n:
-                for e, w in out(x):
+                for e, w in out[x]:
                     scans += 1
                     lst = in_list[w]
                     in_pos[e] = len(lst)
@@ -174,11 +174,11 @@ class _IndexedEs(_EsBase):
         visits = 0
         scans = 0
         q = deque([v])
-        out = self.graph.out_edges
+        out = self.graph.out_lists
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e, w in out(x):
+            for e, w in out[x]:
                 scans += 1
                 lw = level[w]
                 if lx1 < lw:
@@ -220,8 +220,6 @@ class EvenShiloachTree(_IndexedEs):
     drops the vertex one level (or out of the tree), re-enqueues it with a
     reset index, and re-enqueues its tree children."""
 
-    name = "es"
-
     def _reanchor_step(self) -> _Step:
         c = self.counters
         n = self._inf
@@ -229,7 +227,7 @@ class EvenShiloachTree(_IndexedEs):
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
-        out = self.graph.out_edges
+        out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
             # a generator: the loop may abort at any child, so the scans up
@@ -253,7 +251,7 @@ class EvenShiloachTree(_IndexedEs):
                 c.edges_scanned += scans
                 return
             level[w] = lw + 1
-            for e, h in out(w):
+            for e, h in out[w]:
                 scans += 1
                 if h != w and level[h] < n and in_pos[e] == tei[h]:
                     c.edges_scanned += scans
@@ -271,8 +269,6 @@ class MultiLevelEsTree(_IndexedEs):
     level seen, and the vertex drops straight to that level plus one.  Only
     tree children are re-enqueued, never the vertex itself."""
 
-    name = "mes"
-
     def _reanchor_step(self) -> _Step:
         c = self.counters
         n = self._inf
@@ -280,7 +276,7 @@ class MultiLevelEsTree(_IndexedEs):
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
-        out = self.graph.out_edges
+        out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
             lst = in_list[w]
@@ -303,7 +299,7 @@ class MultiLevelEsTree(_IndexedEs):
                 if lx < lmin:
                     lmin = lx
                     emin = i
-            edges = out(w)
+            edges = out[w]
             children = [h for e, h in edges
                         if h != w and level[h] < n and in_pos[e] == tei[h]]
             c.edges_scanned += sz + len(edges)
@@ -326,8 +322,6 @@ class SimplifiedEsTree(_EsBase):
     fresh levels.  Repair rescans the graph's own in-edges and re-anchors at
     the minimum tail level (first such edge on ties), cascading to tree
     children only when the level actually changed."""
-
-    name = "ses"
 
     def _rebuild(self) -> None:
         n = self._inf = self.graph.vertex_count
@@ -358,11 +352,11 @@ class SimplifiedEsTree(_EsBase):
         visits = 0
         scans = 0
         q = deque([v])
-        out = self.graph.out_edges
+        out = self.graph.out_lists
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e, w in out(x):
+            for e, w in out[x]:
                 scans += 1
                 if lx1 < level[w]:
                     level[w] = lx1
@@ -380,13 +374,13 @@ class SimplifiedEsTree(_EsBase):
         n = self._inf
         level = self.level
         tree_edge = self.tree_edge
-        in_edges = self.graph.in_edges
-        out = self.graph.out_edges
+        in_lists = self.graph.in_lists
+        out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
             lmin = n
             best = None
-            ins = in_edges(w)
+            ins = in_lists[w]
             for e, x in ins:
                 if x == w:
                     continue  # a self-loop can never anchor its own level
@@ -399,7 +393,7 @@ class SimplifiedEsTree(_EsBase):
                 tree_edge[w] = best
                 c.edges_scanned += len(ins)
                 return ()
-            edges = out(w)
+            edges = out[w]
             children = [h for e, h in edges
                         if h != w and level[h] < n and tree_edge[h] == e]
             c.edges_scanned += len(ins) + len(edges)

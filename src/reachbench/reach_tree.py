@@ -35,8 +35,6 @@ class IncrementalReachTree(SsrAlgorithm):
     ratio 0 rebuilds on every tree-edge deletion.
     """
 
-    name = "si"
-
     def __init__(self, graph: DiGraph, source: int, counters: WorkCounters, *,
                  reverse_order: bool = False, forward_search: bool = True,
                  ratio: float = 0.25):
@@ -76,11 +74,11 @@ class IncrementalReachTree(SsrAlgorithm):
         visits = 0
         scans = 0
         q = deque([v])
-        out = self.graph.out_edges
+        out = self.graph.out_lists
         while q:
             x = q.popleft()
             kids = children[x]
-            for e, w in out(x):
+            for e, w in out[x]:
                 scans += 1
                 if state[w] != REACHABLE:
                     state[w] = REACHABLE
@@ -156,10 +154,10 @@ class IncrementalReachTree(SsrAlgorithm):
         visits = 1
         scans = 0
         found = None
-        in_edges = g.in_edges
+        in_lists = g.in_lists
         while q and found is None:
             y = q.popleft()
-            for e, x in in_edges(y):
+            for e, x in in_lists[y]:
                 scans += 1
                 st = state[x]
                 if st == REACHABLE:

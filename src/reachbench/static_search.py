@@ -123,12 +123,10 @@ class _StaticSearch(SsrAlgorithm):
 
 
 class StaticBfs(_StaticSearch):
-    name = "sbfs"
     _traverse = _fresh_bfs
 
 
 class StaticDfs(_StaticSearch):
-    name = "sdfs"
     _traverse = _fresh_dfs
 
 
@@ -199,12 +197,10 @@ class _CachedSearch(_FlaggedSearch):
 
 
 class CachingBfs(_CachedSearch):
-    name = "cbfs"
     _traverse = _fresh_bfs
 
 
 class CachingDfs(_CachedSearch):
-    name = "cdfs"
     _traverse = _fresh_dfs
 
 
@@ -282,8 +278,6 @@ class _LazySearch(_FlaggedSearch):
 
 
 class LazyBfs(_LazySearch):
-    name = "lbfs"
-
     def _restart(self) -> None:
         super()._restart()
         self.order = [self.source]
@@ -322,8 +316,6 @@ class LazyBfs(_LazySearch):
 
 
 class LazyDfs(_LazySearch):
-    name = "ldfs"
-
     def _restart(self) -> None:
         super()._restart()
         self.stack = [[self.source, 0]]

@@ -230,7 +230,7 @@ def crafted_wide_cut_instance():
         for off in (1, 3, 7, 19):
             edges.append((first + j, first + (j + off) % blob))
     return OperationSequence(n=n, source=0, initial_edges=edges,
-                             ops=[Operation.remove(0, 1)])
+                             ops=[Operation(REMOVE, 0, 1)])
 
 
 def test_criterion_5_rebuild_threshold_controls_outliers():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,14 @@ from reachbench.bench import (
     RunAggregate,
     RunConfig,
     algorithm_registry,
-    emit_csv,
     median_aggregate,
     render_csv,
     run_benchmark,
 )
 from reachbench.cli import main
 from reachbench.core import (
+    QUERY,
+    REMOVE,
     Divergence,
     Operation,
     OperationSequence,
@@ -31,6 +33,7 @@ from reachbench.generators import ErSpec, gen_er_instance
 from reachbench.graph import DiGraph
 from reachbench.level_tree import SimplifiedEsTree
 from reachbench.reach_tree import IncrementalReachTree
+from reachbench.static_search import StaticBfs
 
 
 def build(spec, n=1):
@@ -55,7 +58,7 @@ def test_registry_parses_parameters():
     assert alg.beta == math.inf and alg.ratio == math.inf
     si = build("si:R:nSF:1")
     assert si.reverse_order and not si.forward_search and si.ratio == 1.0
-    assert build("sbfs").name == "sbfs"
+    assert isinstance(build("sbfs"), StaticBfs)
 
 
 @pytest.mark.parametrize("spec", [
@@ -154,8 +157,8 @@ def test_csv_emission_is_byte_identical(tmp_path):
     scrubbed = dataclasses.replace(row, init_us=0.0, ins_us=0.0, del_us=0.0,
                                    upd_us=0.0, qry_us=0.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv([scrubbed], p1)
-    emit_csv([scrubbed], p2)
+    p1.write_text(render_csv([scrubbed]), encoding="ascii")
+    p2.write_text(render_csv([scrubbed]), encoding="ascii")
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()
 
@@ -316,7 +319,7 @@ def test_run_missing_instance_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["run", "verify"])
 def test_sequence_header_alone_decides_leniency(tmp_path, capsys, verb):
-    ops = [Operation.remove(0, 1), Operation.query(1)]
+    ops = [Operation(REMOVE, 0, 1), Operation(QUERY, 1)]
     strict = tmp_path / "strict.seq"
     lenient = tmp_path / "lenient.seq"
     save_sequence(OperationSequence(n=2, source=0, ops=ops), strict)
@@ -364,3 +367,16 @@ def test_unknown_verb_exits_1(capsys):
     assert main(["explode"]) == 1
     assert "invalid choice" in capsys.readouterr().err
     assert main([]) == 1
+
+
+# ---- README ----
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    answers, *records = capsys.readouterr().out.splitlines()
+    assert answers.startswith("[True, ")
+    kinds = [line.split()[0] for line in records]
+    assert kinds[0] == "init" and len(kinds) == 3 and set(kinds[1:]) <= {"a", "d", "q"}

@@ -21,7 +21,6 @@ from reachbench.core import (
     load_sequence,
     oracle_levels,
     oracle_reach_set,
-    oracle_reachable,
     parse_sequence,
     replay,
     save_sequence,
@@ -40,16 +39,16 @@ from reachbench.graph import DiGraph
 
 
 def test_operation_constructors():
-    assert Operation.add(1, 2) == Operation(ADD, 1, 2)
-    assert Operation.remove(1, 2) == Operation(REMOVE, 1, 2)
-    assert Operation.query(7) == Operation(QUERY, 7)
-    assert Operation.query(7).v == -1
+    assert Operation(ADD, 1, 2) == (ADD, 1, 2)
+    assert Operation(REMOVE, 1, 2) == (REMOVE, 1, 2)
+    assert Operation(QUERY, 7) == (QUERY, 7, -1)
+    assert Operation(QUERY, 7).v == -1
 
 
 def test_sequences_do_not_share_mutable_defaults():
     a = OperationSequence(n=2, source=0)
     b = OperationSequence(n=2, source=0)
-    a.ops.append(Operation.query(0))
+    a.ops.append(Operation(QUERY, 0))
     a.metadata["k"] = "v"
     assert b.ops == [] and b.metadata == {}
 
@@ -60,7 +59,7 @@ def test_sequences_do_not_share_mutable_defaults():
 def test_serialize_golden_text():
     seq = OperationSequence(
         n=3, source=0, initial_edges=[(0, 1)],
-        ops=[Operation.add(1, 2), Operation.remove(0, 1), Operation.query(2)],
+        ops=[Operation(ADD, 1, 2), Operation(REMOVE, 0, 1), Operation(QUERY, 2)],
         metadata={"kind": "demo", "beta": "5"})
     assert serialize_sequence(seq) == (
         "# beta=5\n"
@@ -80,7 +79,7 @@ def test_serialize_lenient_header_token():
 def test_round_trip_preserves_everything():
     seq = OperationSequence(
         n=5, source=2, initial_edges=[(2, 3), (3, 3), (2, 3)],
-        ops=[Operation.add(0, 4), Operation.query(3), Operation.remove(2, 3)],
+        ops=[Operation(ADD, 0, 4), Operation(QUERY, 3), Operation(REMOVE, 2, 3)],
         lenient=True, metadata={"seed": "9", "kind": "er"})
     back = parse_sequence(serialize_sequence(seq))
     assert back == seq
@@ -91,7 +90,7 @@ def test_parse_skips_blanks_and_ignores_late_comments():
     text = "# kind=demo\n\nn 2 source 0\n# not=metadata anymore\n  q 1 \n"
     seq = parse_sequence(text)
     assert seq.metadata == {"kind": "demo"}
-    assert seq.ops == [Operation.query(1)]
+    assert seq.ops == [Operation(QUERY, 1)]
 
 
 def test_parse_metadata_requires_single_token():
@@ -140,7 +139,7 @@ def test_parse_rejects_malformed_input(text):
 
 def test_save_and_load(tmp_path):
     seq = OperationSequence(n=4, source=0, initial_edges=[(0, 1)],
-                            ops=[Operation.query(1)], metadata={"kind": "t"})
+                            ops=[Operation(QUERY, 1)], metadata={"kind": "t"})
     path = tmp_path / "seq.txt"
     save_sequence(seq, path)
     raw = path.read_bytes()
@@ -163,8 +162,8 @@ def test_oracle_reach_set_on_chain():
     assert bytes(oracle_reach_set(g, 0)) == b"\x01\x01\x01"
     g.remove_edge(g.find_edge(1, 2))
     assert bytes(oracle_reach_set(g, 0)) == b"\x01\x01\x00"
-    assert oracle_reachable(g, 0, 1)
-    assert not oracle_reachable(g, 0, 2)
+    assert oracle_reach_set(g, 0)[1]
+    assert not oracle_reach_set(g, 0)[2]
 
 
 def test_oracle_levels_uses_n_for_unreachable():
@@ -184,7 +183,7 @@ def test_oracle_levels_uses_n_for_unreachable():
 
 def test_replay_add_then_query():
     seq = OperationSequence(n=2, source=0,
-                            ops=[Operation.add(0, 1), Operation.query(1)])
+                            ops=[Operation(ADD, 0, 1), Operation(QUERY, 1)])
     res = replay(seq, algorithm_registry("sbfs"))
     assert res.answers == [True]
     assert not res.timed_out
@@ -192,8 +191,8 @@ def test_replay_add_then_query():
 
 def test_replay_records_init_then_one_per_op():
     seq = OperationSequence(n=3, source=0, initial_edges=[(0, 1)],
-                            ops=[Operation.add(1, 2), Operation.query(2),
-                                 Operation.remove(0, 1), Operation.query(2)])
+                            ops=[Operation(ADD, 1, 2), Operation(QUERY, 2),
+                                 Operation(REMOVE, 0, 1), Operation(QUERY, 2)])
     res = replay(seq, algorithm_registry("ses:5:.5"))
     assert [r.op_index for r in res.records] == [-1, 0, 1, 2, 3]
     assert [r.kind for r in res.records] == [INIT, ADD, QUERY, REMOVE, QUERY]
@@ -203,20 +202,20 @@ def test_replay_records_init_then_one_per_op():
 def test_replay_mean_live_edges():
     # edge counts sampled after init and after each op: 1, 0, 1
     seq = OperationSequence(n=2, source=0, initial_edges=[(0, 1)],
-                            ops=[Operation.remove(0, 1), Operation.add(0, 1)])
+                            ops=[Operation(REMOVE, 0, 1), Operation(ADD, 0, 1)])
     res = replay(seq, algorithm_registry("sbfs"))
     assert res.mean_edges == pytest.approx(2 / 3)
 
 
 def test_strict_replay_rejects_unmatched_removal():
-    seq = OperationSequence(n=2, source=0, ops=[Operation.remove(0, 1)])
+    seq = OperationSequence(n=2, source=0, ops=[Operation(REMOVE, 0, 1)])
     with pytest.raises(ReplayError):
         replay(seq, algorithm_registry("sbfs"))
 
 
 def test_lenient_replay_skips_unmatched_removal_with_zero_work():
     seq = OperationSequence(n=2, source=0,
-                            ops=[Operation.remove(0, 1), Operation.query(0)],
+                            ops=[Operation(REMOVE, 0, 1), Operation(QUERY, 0)],
                             lenient=True)
     factory = algorithm_registry("cbfs")
     res = replay(seq, factory)
@@ -242,7 +241,7 @@ def test_unknown_op_kind_is_rejected_by_every_entry_point(drive):
 
 
 def test_replay_timeout_flags_and_keeps_partial_records():
-    seq = OperationSequence(n=2, source=0, ops=[Operation.query(0)] * 5)
+    seq = OperationSequence(n=2, source=0, ops=[Operation(QUERY, 0)] * 5)
     res = replay(seq, algorithm_registry("sbfs"), timeout=0.0)
     assert res.timed_out
     assert len(res.records) == 1 and res.records[0].op_index == -1
@@ -260,7 +259,7 @@ def test_removal_resolves_to_most_recent_parallel_edge():
 
     Spy.deleted.clear()
     seq = OperationSequence(n=2, source=0, initial_edges=[(0, 1), (0, 1)],
-                            ops=[Operation.remove(0, 1), Operation.remove(0, 1)])
+                            ops=[Operation(REMOVE, 0, 1), Operation(REMOVE, 0, 1)])
     replay(seq, Spy)
     # initial edges get ids 0 and 1; the younger edge goes first
     assert Spy.deleted == [1, 0]
@@ -367,7 +366,7 @@ def test_at_most_one_recomputation_per_operation():
 
 def test_iterate_replay_yields_init_then_steps():
     seq = OperationSequence(n=2, source=0,
-                            ops=[Operation.add(0, 1), Operation.query(1)])
+                            ops=[Operation(ADD, 0, 1), Operation(QUERY, 1)])
     steps = list(iterate_replay(seq, algorithm_registry("es:5:.5")))
     assert [(i, ans) for i, _, _, _, ans in steps] == [(-1, None), (0, None), (1, True)]
     assert steps[0][1] is None
@@ -375,7 +374,7 @@ def test_iterate_replay_yields_init_then_steps():
 
 
 def test_query_source_is_always_reachable():
-    seq = OperationSequence(n=3, source=2, ops=[Operation.query(2)])
+    seq = OperationSequence(n=3, source=2, ops=[Operation(QUERY, 2)])
     for spec in CANONICAL_SPECS:
         assert replay(seq, algorithm_registry(spec)).answers == [True], spec
 
@@ -406,7 +405,7 @@ def test_verify_catches_missed_deletion():
             return bool(self.cache[t])
 
     seq = OperationSequence(n=2, source=0, initial_edges=[(0, 1)],
-                            ops=[Operation.remove(0, 1)])
+                            ops=[Operation(REMOVE, 0, 1)])
     div = verify_against_oracle(seq, StaleCache)
     assert div == Divergence(0, 1, True, False)
 

@@ -165,7 +165,7 @@ def test_identical_snapshots_produce_no_updates():
 
 def test_single_pair_diff():
     seq = snapshots_to_sequence([{(0, 1)}, {(1, 2)}], seed=4)
-    assert sorted(seq.ops) == [Operation.add(1, 2), Operation.remove(0, 1)]
+    assert sorted(seq.ops) == [Operation(ADD, 1, 2), Operation(REMOVE, 0, 1)]
     assert seq.n == 3
 
 
@@ -175,9 +175,9 @@ def test_diff_blocks_preserve_snapshot_order():
     third = {(1, 2), (1, 3), (1, 4)}
     seq = snapshots_to_sequence([first, second, third], seed=9)
     assert len(seq.ops) == 12
-    block1 = {Operation.add(0, v) for v in (2, 3, 4, 5)} | {Operation.remove(0, 1)}
-    block2 = ({Operation.add(1, v) for v in (2, 3, 4)}
-              | {Operation.remove(0, v) for v in (2, 3, 4, 5)})
+    block1 = {Operation(ADD, 0, v) for v in (2, 3, 4, 5)} | {Operation(REMOVE, 0, 1)}
+    block2 = ({Operation(ADD, 1, v) for v in (2, 3, 4)}
+              | {Operation(REMOVE, 0, v) for v in (2, 3, 4, 5)})
     assert set(seq.ops[:5]) == block1
     assert set(seq.ops[5:]) == block2
     assert not seq.lenient
@@ -214,12 +214,12 @@ def test_diff_shuffle_is_seeded():
 
 
 def test_shuffle_single_update_is_identity():
-    seq = OperationSequence(n=2, source=0, ops=[Operation.add(0, 1)])
+    seq = OperationSequence(n=2, source=0, ops=[Operation(ADD, 0, 1)])
     assert shuffle_sequence(seq, seed=3).ops == seq.ops
 
 
 def test_shuffle_permutes_updates_and_flags_lenient():
-    ops = [Operation.add(0, i % 4) for i in range(5)] + [Operation.remove(0, 1)]
+    ops = [Operation(ADD, 0, i % 4) for i in range(5)] + [Operation(REMOVE, 0, 1)]
     seq = OperationSequence(n=4, source=0, ops=ops)
     s0 = shuffle_sequence(seq, seed=0)
     s1 = shuffle_sequence(seq, seed=1)
@@ -230,12 +230,12 @@ def test_shuffle_permutes_updates_and_flags_lenient():
 
 
 def test_shuffle_keeps_queries_in_their_slots():
-    ops = [Operation.add(0, 1), Operation.query(3), Operation.remove(0, 1),
-           Operation.query(2), Operation.add(1, 2)]
+    ops = [Operation(ADD, 0, 1), Operation(QUERY, 3), Operation(REMOVE, 0, 1),
+           Operation(QUERY, 2), Operation(ADD, 1, 2)]
     seq = OperationSequence(n=4, source=0, ops=ops)
     shuffled = shuffle_sequence(seq, seed=8)
-    assert shuffled.ops[1] == Operation.query(3)
-    assert shuffled.ops[3] == Operation.query(2)
+    assert shuffled.ops[1] == Operation(QUERY, 3)
+    assert shuffled.ops[3] == Operation(QUERY, 2)
     updates = [op for op in shuffled.ops if op.kind != QUERY]
     assert sorted(updates) == sorted(op for op in ops if op.kind != QUERY)
 

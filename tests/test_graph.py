@@ -14,25 +14,10 @@ def test_empty_graph():
     assert g.edges() == []
 
 
-def test_add_vertex_returns_dense_ids():
-    g = DiGraph()
-    assert g.add_vertex() == 0
-    assert g.add_vertex() == 1
-    assert g.add_vertex() == 2
-    assert g.vertex_count == 3
-
-
-def test_add_vertex_extends_preallocated_graph():
-    g = DiGraph(3)
-    assert g.add_vertex() == 3
-    assert g.vertex_count == 4
-
-
 def test_many_vertices():
-    g = DiGraph()
-    for i in range(100_000):
-        assert g.add_vertex() == i
+    g = DiGraph(100_000)
     assert g.vertex_count == 100_000
+    assert len(g.out_lists) == len(g.in_lists) == 100_000
 
 
 def test_parallel_edges_get_distinct_ids():
@@ -49,9 +34,20 @@ def test_self_loop():
     g = DiGraph(1)
     e = g.add_edge(0, 0)
     assert g.is_live(e)
-    assert g.out_degree(0) == 1
-    assert g.in_degree(0) == 1
-    assert g.degree(0) == 2
+    assert len(g.out_lists[0]) == 1
+    assert len(g.in_lists[0]) == 1
+
+
+@pytest.mark.parametrize("u,v", [(0, 1.0), (1.0, 0)])
+def test_add_edge_with_non_int_endpoint_leaves_the_graph_alone(u, v):
+    g = DiGraph(3)
+    with pytest.raises(TypeError):
+        g.add_edge(u, v)
+    assert g.edge_count == 0
+    assert g.edges() == []
+    assert g.out_lists == g.in_lists == [[], [], []]
+    g.check_invariants()
+    assert g.add_edge(0, 1) == 0  # no edge id was used up
 
 
 def test_find_edge_returns_most_recent_live():
@@ -132,9 +128,9 @@ def test_incidence_entries_pair_id_with_other_endpoint():
     g = DiGraph(3)
     e1 = g.add_edge(0, 1)
     e2 = g.add_edge(0, 2)
-    assert g.out_edges(0) == [(e1, 1), (e2, 2)]
-    assert g.in_edges(1) == [(e1, 0)]
-    assert g.in_edges(2) == [(e2, 0)]
+    assert g.out_lists[0] == [(e1, 1), (e2, 2)]
+    assert g.in_lists[1] == [(e1, 0)]
+    assert g.in_lists[2] == [(e2, 0)]
 
 
 def test_swap_removal_moves_last_entry_into_hole():
@@ -143,7 +139,7 @@ def test_swap_removal_moves_last_entry_into_hole():
     e2 = g.add_edge(0, 2)
     e3 = g.add_edge(0, 3)
     g.remove_edge(e1)
-    assert g.out_edges(0) == [(e3, 3), (e2, 2)]
+    assert g.out_lists[0] == [(e3, 3), (e2, 2)]
     g.check_invariants()
 
 
@@ -173,9 +169,7 @@ def test_check_invariants_catches_corruption(corrupt):
 
 
 def _state(g):
-    n = g.vertex_count
-    return (n, g.edge_count, g.edges(), [g.out_edges(v) for v in range(n)],
-            [g.in_edges(v) for v in range(n)])
+    return (g.vertex_count, g.edge_count, g.edges(), g.out_lists, g.in_lists)
 
 
 @pytest.mark.parametrize("n,edges", [
@@ -268,13 +262,13 @@ def test_random_interleaving_matches_naive_model(script):
         assert not g.is_live(e)
         _swap_remove(out[u], (e, v))
         _swap_remove(inc[v], (e, u))
-        assert [g.out_edges(x) for x in range(n)] == out
-        assert [g.in_edges(x) for x in range(n)] == inc
+        assert g.out_lists == out
+        assert g.in_lists == inc
     g.check_invariants()
     assert g.edge_count == len(ends)
     assert g.edges() == [(e, *ends[e]) for e in sorted(ends)]
-    assert [g.out_edges(x) for x in range(n)] == out
-    assert [g.in_edges(x) for x in range(n)] == inc
+    assert g.out_lists == out
+    assert g.in_lists == inc
     for u in range(n):
         for v in range(n):
             ids = [e for e, uv in ends.items() if uv == (u, v)]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reachbench.core import Operation, replay, serialize_sequence
+from reachbench.core import ADD, REMOVE, Operation, replay, serialize_sequence
 from reachbench.ingest import (
     IngestError,
     TemporalEdgeEvent,
@@ -14,7 +14,6 @@ from reachbench.ingest import (
     ingest_temporal,
     parse_snapshot_file,
     parse_temporal_stream,
-    snapshots_from_files,
 )
 from reachbench.static_search import StaticBfs
 
@@ -55,17 +54,14 @@ def test_vertex_labels_round_trip():
     assert labels.intern("y") == 1
     assert labels.intern("x") == 0
     assert len(labels) == 2
-    assert labels.id_of("y") == 1
     assert labels.label_of(1) == "y"
-    with pytest.raises(IngestError):
-        labels.id_of("z")
 
 
 def test_events_to_sequence_basics():
     seq, labels = events_to_sequence([ev("a", "b", 1, 1), ev("b", "c", 1, 2)])
     assert seq.n == 3 and seq.source == 0
     assert seq.initial_edges == [(0, 1)]
-    assert seq.ops == [Operation.add(1, 2)]
+    assert seq.ops == [Operation(ADD, 1, 2)]
     assert seq.lenient
     assert seq.metadata == {"kind": "temporal", "events": "2"}
     assert labels.label_of(seq.source) == "a"
@@ -95,10 +91,10 @@ def test_no_initial_insertion_is_an_error():
 def test_equal_timestamps_keep_file_order():
     events = [ev("a", "b", 1, 5), ev("c", "d", 1, 3), ev("e", "f", 1, 3)]
     seq, labels = events_to_sequence(events)
-    assert seq.source == labels.id_of("c")
-    assert seq.initial_edges == [(labels.id_of("c"), labels.id_of("d")),
-                                 (labels.id_of("e"), labels.id_of("f"))]
-    assert seq.ops == [Operation.add(0, 1)]
+    assert labels.label_of(seq.source) == "c"
+    assert [(labels.label_of(u), labels.label_of(v)) for u, v in seq.initial_edges] == [
+        ("c", "d"), ("e", "f")]
+    assert seq.ops == [Operation(ADD, 0, 1)]
 
 
 def test_ingest_temporal_toy_stream_matches_golden_file():
@@ -133,26 +129,36 @@ def test_parse_snapshot_errors(text, fragment):
 
 
 def test_snapshots_from_files_share_ids():
-    snaps, labels = snapshots_from_files([DATA / "snap_a.txt", DATA / "snap_b.txt",
-                                          DATA / "snap_c.txt"])
+    seq, labels = ingest_snapshots([DATA / "snap_a.txt", DATA / "snap_b.txt",
+                                    DATA / "snap_c.txt"])
     assert [labels.label_of(i) for i in range(len(labels))] == ["A", "B", "C", "D"]
-    assert snaps[0] == {(0, 1), (1, 2), (2, 0), (0, 2)}
-    assert snaps[1] == {(0, 1), (2, 3), (1, 2), (2, 1)}
-    assert snaps[2] == {(0, 1), (3, 0), (0, 3)}
+    # each file's edge set, read off the stream: the initial graph, then the
+    # graph after each diff block (4 updates, then 5)
+    edges = set(seq.initial_edges)
+    after = []
+    for kind, u, v in seq.ops:
+        if kind == ADD:
+            edges.add((u, v))
+        else:
+            edges.remove((u, v))
+        after.append(set(edges))
+    assert set(seq.initial_edges) == {(0, 1), (1, 2), (2, 0), (0, 2)}
+    assert after[3] == {(0, 1), (2, 3), (1, 2), (2, 1)}
+    assert after[8] == {(0, 1), (3, 0), (0, 3)}
 
 
 def test_ingest_snapshots_lowers_diff_blocks():
     seq, labels = ingest_snapshots([DATA / "snap_a.txt", DATA / "snap_b.txt",
                                     DATA / "snap_c.txt"], seed=3)
     assert seq.n == 4
-    assert seq.source == labels.id_of("A")
+    assert labels.label_of(seq.source) == "A"
     assert seq.initial_edges == sorted({(0, 1), (1, 2), (2, 0), (0, 2)})
     assert len(seq.ops) == 9
-    assert set(seq.ops[:4]) == {Operation.add(2, 3), Operation.add(2, 1),
-                                Operation.remove(2, 0), Operation.remove(0, 2)}
-    assert set(seq.ops[4:]) == {Operation.add(3, 0), Operation.add(0, 3),
-                                Operation.remove(1, 2), Operation.remove(2, 3),
-                                Operation.remove(2, 1)}
+    assert set(seq.ops[:4]) == {Operation(ADD, 2, 3), Operation(ADD, 2, 1),
+                                Operation(REMOVE, 2, 0), Operation(REMOVE, 0, 2)}
+    assert set(seq.ops[4:]) == {Operation(ADD, 3, 0), Operation(ADD, 0, 3),
+                                Operation(REMOVE, 1, 2), Operation(REMOVE, 2, 3),
+                                Operation(REMOVE, 2, 1)}
     assert not seq.lenient
     replay(seq, StaticBfs)
 

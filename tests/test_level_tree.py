@@ -262,7 +262,7 @@ def check_structure(g: DiGraph, alg) -> None:
     for v in range(n):
         if indexed:
             lst = alg.in_list[v]
-            assert sorted(lst) == sorted(g.in_edges(v)), v
+            assert sorted(lst) == sorted(g.in_lists[v]), v
             assert all(alg.in_pos[e] == pos for pos, (e, _) in enumerate(lst)), v
         if v == alg.source or level[v] == n:
             continue
