@@ -18,7 +18,9 @@ class DiGraph:
     Incidence entries are (edge_id, other_endpoint) pairs.  out_lists and
     in_lists are the live per-vertex incidence tables (out_lists[v] holds
     v's out-entries, in_lists[v] its in-entries), not copies: they are the
-    one way to read incidence lists, and are read-only to callers.
+    one way to read incidence lists, and are read-only to callers.  tails
+    is the same kind of live, read-only table by edge id: tails[e] is e's
+    tail, or -1 once e is dead, with one entry per id ever issued.
 
     Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
     tail's out-list and its head's in-list), found by a scan of each;
@@ -134,6 +136,12 @@ class DiGraph:
     def in_lists(self) -> list[list[tuple[int, int]]]:
         """In-entries of every vertex, indexed by head; live and read-only."""
         return self._in
+
+    @property
+    def tails(self) -> list[int]:
+        """Tail of every edge id ever issued, -1 for a dead edge; live and
+        read-only."""
+        return self._tail
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All live edges as (edge_id, tail, head), in id order."""

@@ -20,6 +20,11 @@ class DeletionStats(NamedTuple):
     queue_pops: int
 
 
+#: The stats of a deletion that needs no repair; one shared value, not a new
+#: tuple per deletion.
+_NO_REPAIR = DeletionStats(0, 0)
+
+
 class _RebuildNeeded(Exception):
     """The repair loop hit a work bound; recompute from scratch."""
 
@@ -35,13 +40,14 @@ class _EsBase(SsrAlgorithm):
     repair loop every variant runs.
 
     A variant supplies _rebuild(); _detach(v, e), which unlinks a deleted
-    edge and says whether v must be re-anchored; and _reanchor_step(), which
-    returns a step bound to the arrays of the last rebuild.  The loop pops
-    vertices off a queue and hands each one that is still reachable to that
-    step, which fixes the vertex's level and tree edge and names the
-    vertices to enqueue next.  The loop alone enforces both work bounds:
-    beta bounds how often one vertex may be enqueued during a single
-    deletion repair, and ratio * n bounds the queue pops.  The pop or
+    edge and says whether v must be re-anchored; _reanchor_step(), which
+    returns a step bound to the arrays of the last rebuild; and
+    _tree_edge(v), the id of the edge v hangs off, for check_invariants().
+    The loop pops vertices off a queue and hands each one that is still
+    reachable to that step, which fixes the vertex's level and tree edge
+    and names the vertices to enqueue next.  The loop alone enforces both
+    work bounds: beta bounds how often one vertex may be enqueued during a
+    single deletion repair, and ratio * n bounds the queue pops.  The pop or
     enqueue that would exceed a bound aborts the repair and rebuilds the
     tree from scratch instead (counted as a recomputation).  Both default
     to infinity, i.e. never abort.
@@ -58,7 +64,7 @@ class _EsBase(SsrAlgorithm):
             raise ValueError(f"ratio must be >= 0 or inf, got {ratio}")
         self.beta = beta
         self.ratio = ratio
-        self.last_deletion_stats = DeletionStats(0, 0)
+        self.last_deletion_stats = _NO_REPAIR
 
     def initialize(self) -> None:
         self._rebuild()
@@ -73,7 +79,7 @@ class _EsBase(SsrAlgorithm):
 
     def edge_deleted(self, u: int, v: int, e: int) -> None:
         if not self._detach(v, e):
-            self.last_deletion_stats = DeletionStats(0, 0)
+            self.last_deletion_stats = _NO_REPAIR
             return
         n = self._inf
         level = self.level
@@ -105,10 +111,34 @@ class _EsBase(SsrAlgorithm):
             self.counters.queue_pops += pops
             self.last_deletion_stats = DeletionStats(max(counts.values(), default=0), pops)
 
+    def check_invariants(self) -> None:
+        """Full-scan check of the Even-Shiloach invariant; raises
+        AssertionError on a violation: the source is at level 0, and every
+        other reachable vertex hangs off a live in-edge, its tree edge, whose
+        tail is exactly one level up."""
+        g = self.graph
+        level = self.level
+        n = self._inf
+        assert level[self.source] == 0
+        for v in range(n):
+            if v != self.source and level[v] < n:
+                e = self._tree_edge(v)
+                assert g.is_live(e), v
+                tail, head = g.endpoints(e)
+                assert head == v and level[tail] == level[v] - 1, v
+
 
 class _IndexedEs(_EsBase):
-    """ES/MES common core: a private in-edge list per vertex, position map,
-    and per-vertex tree-edge index into its own in-list."""
+    """ES/MES common core: a private in-list of edge ids per vertex, a
+    position map, and per-vertex tree-edge index into its own in-list.
+
+    A rebuild fills the in-lists in its BFS scan order, then appends the
+    edges out of unreachable tails in vertex order; insertions append and
+    deletions swap-remove.  Entries are bare ids: a tail is read from
+    DiGraph.tails.  in_pos is indexed by edge id, one slot per id ever
+    issued: a rebuild sizes it to the ids issued so far and each insertion
+    appends the next.  A dead id's slot goes stale and is never read.
+    """
 
     def _rebuild(self) -> None:
         g = self.graph
@@ -117,7 +147,7 @@ class _IndexedEs(_EsBase):
         self._inf = n
         level = self.level = [n] * n
         in_list = self.in_list = [[] for _ in range(n)]
-        in_pos = self.in_pos = {}
+        in_pos = self.in_pos = [0] * len(g.tails)
         tei = self.tei = [0] * n
         s = self.source
         tei[s] = -1  # the source has no tree edge; no position may match
@@ -132,12 +162,11 @@ class _IndexedEs(_EsBase):
             for e, w in out[x]:
                 scans += 1
                 lst = in_list[w]
-                pos = len(lst)
-                in_pos[e] = pos
-                lst.append((e, x))
+                in_pos[e] = len(lst)
+                lst.append(e)
                 if level[w] == n:
+                    # w's first entry discovers it, so its tree edge is at 0
                     level[w] = lx1
-                    tei[w] = pos
                     visits += 1
                     q.append(w)
         # edges out of unreachable tails, in vertex order, after all others
@@ -147,15 +176,32 @@ class _IndexedEs(_EsBase):
                     scans += 1
                     lst = in_list[w]
                     in_pos[e] = len(lst)
-                    lst.append((e, x))
+                    lst.append(e)
         c.vertices_visited += visits
         c.edges_scanned += scans
+
+    def _tree_edge(self, v: int) -> int:
+        lst = self.in_list[v]
+        assert 0 <= self.tei[v] < len(lst), v
+        return lst[self.tei[v]]
+
+    def check_invariants(self) -> None:
+        """Also: each vertex's private in-list is a permutation of the ids of
+        its graph in-entries, and in_pos has one slot per id ever issued,
+        holding every live id's position in its list."""
+        in_pos = self.in_pos
+        assert len(in_pos) == len(self.graph.tails)
+        for v, ins in enumerate(self.graph.in_lists):
+            lst = self.in_list[v]
+            assert sorted(lst) == sorted(e for e, _ in ins), v
+            assert all(in_pos[e] == pos for pos, e in enumerate(lst)), v
+        super().check_invariants()
 
     def edge_inserted(self, u: int, v: int, e: int) -> None:
         lst = self.in_list[v]
         pos = len(lst)
-        self.in_pos[e] = pos
-        lst.append((e, u))
+        self.in_pos.append(pos)  # e is the next id: every insertion notifies
+        lst.append(e)
         level = self.level
         lu1 = level[u] + 1
         if lu1 < level[v]:
@@ -195,19 +241,19 @@ class _IndexedEs(_EsBase):
         """Drop e from v's in-list (swap-remove).  True if the repair loop
         must run: e was v's tree edge, or the swap displaced it."""
         in_pos = self.in_pos
-        pos = in_pos.pop(e)
+        pos = in_pos[e]  # e's slot goes stale and is never read again
         lst = self.in_list[v]
         reachable = self.level[v] < self._inf
         was_tree = reachable and pos == self.tei[v]
         last = lst.pop()
-        if last[0] != e:
+        if last != e:
             lst[pos] = last
-            in_pos[last[0]] = pos
+            in_pos[last] = pos
             if reachable:
                 if self.tei[v] == len(lst):
                     self.tei[v] = pos
                     return True
-                if pos < self.tei[v] and self.level[last[1]] == self.level[v] - 1:
+                if pos < self.tei[v] and self.level[self.graph.tails[last]] == self.level[v] - 1:
                     # anchor moved into the already-scanned prefix, where the
                     # advancing scan would never see it again; adopt it now
                     self.tei[v] = pos
@@ -227,6 +273,7 @@ class EvenShiloachTree(_IndexedEs):
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
+        tails = self.graph.tails
         out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
@@ -237,7 +284,7 @@ class EvenShiloachTree(_IndexedEs):
             target = lw - 1
             start = i = tei[w]
             while i < sz:
-                if level[lst[i][1]] == target:
+                if level[tails[lst[i]]] == target:
                     tei[w] = i
                     c.edges_scanned += i + 1 - start
                     return
@@ -276,6 +323,7 @@ class MultiLevelEsTree(_IndexedEs):
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
+        tails = self.graph.tails
         out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
@@ -288,7 +336,7 @@ class MultiLevelEsTree(_IndexedEs):
             if start >= sz:
                 start = 0
             for i in chain(range(start, sz), range(start)):
-                x = lst[i][1]
+                x = tails[lst[i]]
                 if x == w:
                     continue  # a self-loop can never anchor its own level
                 lx = level[x]
@@ -368,6 +416,9 @@ class SimplifiedEsTree(_EsBase):
 
     def _detach(self, v: int, e: int) -> bool:
         return self.tree_edge[v] == e
+
+    def _tree_edge(self, v: int) -> int | None:
+        return self.tree_edge[v]
 
     def _reanchor_step(self) -> _Step:
         c = self.counters

@@ -267,6 +267,7 @@ def test_random_interleaving_matches_naive_model(script):
     g.check_invariants()
     assert g.edge_count == len(ends)
     assert g.edges() == [(e, *ends[e]) for e in sorted(ends)]
+    assert g.tails == [ends[e][0] if e in ends else -1 for e in range(next_id)]
     assert g.out_lists == out
     assert g.in_lists == inc
     for u in range(n):

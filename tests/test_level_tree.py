@@ -4,11 +4,15 @@ import math
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import apply_add, apply_remove, delta, make_algorithm, sweep
 
 from reachbench.core import (
     ADD,
     REMOVE,
+    Operation,
+    OperationSequence,
     WorkCounters,
     iterate_replay,
     oracle_levels,
@@ -134,8 +138,23 @@ def test_es_exhausts_index_then_bumps_level():
     assert alg.levels() == [0, 1, 2]
     # first pop runs off the list and bumps; second adopts (1, 2)
     assert alg.last_deletion_stats == DeletionStats(1, 2)
-    e, x = alg.in_list[2][alg.tei[2]]
-    assert x == 1 and e == g.find_edge(1, 2)
+    e = alg.in_list[2][alg.tei[2]]
+    assert e == g.find_edge(1, 2) and g.tails[e] == 1
+
+
+def test_es_adopts_an_anchor_swapped_into_the_scanned_prefix():
+    # 4 hangs off (1, 4) at position 1; deleting (3, 4) at position 0 swaps
+    # (2, 4), whose tail is one level up too, behind the advancing index
+    g, alg, _ = make_algorithm(unlimited(EvenShiloachTree), 5, 0,
+                               [(0, 1), (0, 2), (1, 3), (3, 4)])
+    apply_add(g, alg, 1, 4)
+    apply_add(g, alg, 2, 4)
+    assert alg.levels()[4] == 2 and alg.tei[4] == 1
+    apply_remove(g, alg, 3, 4)
+    assert alg.tei[4] == 0 and g.tails[alg.in_list[4][0]] == 2
+    apply_remove(g, alg, 1, 4)
+    assert alg.levels() == [0, 1, 1, 2, 2]
+    alg.check_invariants()
 
 
 def test_es_cut_chain_drains_to_unreachable():
@@ -249,33 +268,6 @@ def test_levels_stay_exact_after_every_update(cls, beta, ratio):
         assert alg.levels() == oracle_levels(g, seq.source)
 
 
-def check_structure(g: DiGraph, alg) -> None:
-    """The Even-Shiloach invariant: every reachable vertex but the source
-    hangs off a live in-edge whose tail is exactly one level up.  ES/MES
-    also keep in_list as a copy of the graph's in-edges, with in_pos
-    mirroring it."""
-    n = g.vertex_count
-    level = alg.level
-    indexed = not isinstance(alg, SimplifiedEsTree)
-    if indexed:
-        assert len(alg.in_pos) == g.edge_count
-    for v in range(n):
-        if indexed:
-            lst = alg.in_list[v]
-            assert sorted(lst) == sorted(g.in_lists[v]), v
-            assert all(alg.in_pos[e] == pos for pos, (e, _) in enumerate(lst)), v
-        if v == alg.source or level[v] == n:
-            continue
-        if indexed:
-            tail = lst[alg.tei[v]][1]
-        else:
-            e = alg.tree_edge[v]
-            assert g.is_live(e), v
-            tail, head = g.endpoints(e)
-            assert head == v
-        assert level[tail] == level[v] - 1, v
-
-
 @pytest.mark.parametrize("cls", VARIANTS)
 @pytest.mark.parametrize("beta,ratio", [(1, math.inf), (2, 0.05), (math.inf, 0),
                                         (math.inf, math.inf)])
@@ -284,8 +276,78 @@ def test_structure_holds_after_every_step(cls, beta, ratio):
     for seed in (0, 1):
         seq = gen_er_instance(ErSpec(n=30, d=2.0, sigma=300, seed=seed))
         for s in (seq, shuffle_sequence(seq, seed)):
-            for _, _, g, alg, _ in iterate_replay(s, factory):
-                check_structure(g, alg)
+            for _, _, _, alg, _ in iterate_replay(s, factory):
+                alg.check_invariants()
+
+
+# 0 -> 1 -> 2 plus shortcut (0, 2): in_list[2] is [(0, 2), (1, 2)], tail
+# levels 0 and 1, and 2 hangs off position 0
+def _wrong_in_pos(g, alg):
+    alg.in_pos[g.find_edge(0, 2)] = 1
+
+
+def _dropped_entry(g, alg):
+    alg.in_list[2].pop()
+
+
+def _wrong_level_tail(g, alg):
+    alg.tei[2] = 1
+
+
+@pytest.mark.parametrize("cls", [EvenShiloachTree, MultiLevelEsTree])
+@pytest.mark.parametrize("corrupt", [_wrong_in_pos, _dropped_entry, _wrong_level_tail],
+                         ids=["in-pos-slot", "dropped-entry", "wrong-level-tail"])
+def test_check_invariants_catches_corruption(cls, corrupt):
+    g, alg, _ = make_algorithm(unlimited(cls), 3, 0, [(0, 1), (1, 2), (0, 2)])
+    assert alg.in_list[2] == [g.find_edge(0, 2), g.find_edge(1, 2)]
+    alg.check_invariants()
+    corrupt(g, alg)
+    with pytest.raises(AssertionError):
+        alg.check_invariants()
+
+
+def test_ses_check_invariants_catches_wrong_level_tree_edge():
+    g, alg, _ = make_algorithm(unlimited(SimplifiedEsTree), 3, 0, [(0, 1), (1, 2), (0, 2)])
+    alg.check_invariants()
+    alg.tree_edge[2] = g.find_edge(1, 2)
+    with pytest.raises(AssertionError):
+        alg.check_invariants()
+
+
+@st.composite
+def es_scripts(draw):
+    """A lenient op script over n=1..8, weighted towards self-loops,
+    parallel edges, removals at the source, removals with no live match,
+    and removing then re-adding a pair (new ids past the dead ones)."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    source = draw(vertex)
+    pair = st.tuples(vertex, vertex)
+    loop = vertex.map(lambda x: (x, x))
+    at_source = st.one_of(vertex.map(lambda x: (source, x)), vertex.map(lambda x: (x, source)))
+    edge = st.one_of(pair, loop, at_source)
+    step = st.one_of(
+        edge.map(lambda p: [Operation(ADD, *p)]),
+        edge.map(lambda p: [Operation(ADD, *p)] * 2),
+        edge.map(lambda p: [Operation(REMOVE, *p)]),
+        pair.map(lambda p: [Operation(REMOVE, *p)]),
+        edge.map(lambda p: [Operation(REMOVE, *p), Operation(ADD, *p)]),
+    )
+    initial = draw(st.lists(edge, max_size=16))
+    ops = [op for ops in draw(st.lists(step, max_size=30)) for op in ops]
+    beta = draw(st.sampled_from([1, 2, math.inf]))
+    ratio = draw(st.sampled_from([0, 0.5, math.inf]))
+    return OperationSequence(n, source, initial, ops, lenient=True), beta, ratio
+
+
+@pytest.mark.parametrize("cls", VARIANTS)
+@given(script=es_scripts())
+@settings(max_examples=300, deadline=None)
+def test_op_scripts_keep_structure_and_exact_levels(cls, script):
+    seq, beta, ratio = script
+    for _, _, g, alg, _ in iterate_replay(seq, partial(cls, beta=beta, ratio=ratio)):
+        alg.check_invariants()
+        assert alg.levels() == oracle_levels(g, seq.source)
 
 
 @pytest.mark.parametrize("cls", VARIANTS)
