@@ -4,6 +4,7 @@ per-aggregate medians, and deterministic CSV output."""
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import statistics
@@ -173,10 +174,23 @@ def median_aggregate(samples: list[RunAggregate]) -> RunAggregate:
 def run_benchmark(cfg: RunConfig, sequence: OperationSequence) -> AggregateRow:
     """Replay the sequence `runs` times on fresh algorithm instances and
     report per-aggregate medians.  A run that exceeds the timeout stops
-    early and flags the row instead of raising."""
+    early and flags the row instead of raising.
+
+    The collector is paused while the runs replay, so no collection lands
+    on a timed routine; it collects what the previous run left before each
+    run instead, and is back in its prior state however the runs end."""
     factory = algorithm_registry(cfg.algorithm)
-    med = median_aggregate([aggregate_replay(replay(sequence, factory, timeout=cfg.timeout))
-                            for _ in range(cfg.runs)])
+    samples = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(cfg.runs):
+            gc.collect()
+            samples.append(aggregate_replay(replay(sequence, factory, timeout=cfg.timeout)))
+    finally:
+        if enabled:
+            gc.enable()
+    med = median_aggregate(samples)
     return AggregateRow(
         instance=str(cfg.instance),
         algorithm=cfg.algorithm,

@@ -221,10 +221,11 @@ def oracle_reach_set(graph: DiGraph, source: int) -> bytearray:
     reached = bytearray(graph.vertex_count)
     reached[source] = 1
     queue = deque([source])
-    out = graph.out_lists
+    out, heads = graph.out_lists, graph.heads
     while queue:
         x = queue.popleft()
-        for _, w in out[x]:
+        for e in out[x]:
+            w = heads[e]
             if not reached[w]:
                 reached[w] = 1
                 queue.append(w)
@@ -237,11 +238,12 @@ def oracle_levels(graph: DiGraph, source: int) -> list[int]:
     level = [n] * n
     level[source] = 0
     queue = deque([source])
-    out = graph.out_lists
+    out, heads = graph.out_lists, graph.heads
     while queue:
         x = queue.popleft()
         lx = level[x] + 1
-        for _, w in out[x]:
+        for e in out[x]:
+            w = heads[e]
             if level[w] == n:
                 level[w] = lx
                 queue.append(w)
@@ -264,40 +266,54 @@ class ReplayResult:
     mean_edges: float
 
 
-def _steps(seq: OperationSequence, factory: AlgorithmFactory,
-           deadline: float | None = None) -> Iterator[tuple]:
+def _steps(seq: OperationSequence, factory: AlgorithmFactory, answers: list[bool],
+           deadline: float | None = None) -> Iterator:
     """The one mutate-then-notify loop behind every replay entry point.
 
-    Builds the graph, initializes a fresh algorithm, then applies each op:
-    edges are added to the graph before edge_inserted and removed before
-    edge_deleted; a removal takes the most recent live (u, v) edge.
-    Yields (op_index, op, graph, algorithm, answer, wall_ns, work) after
-    initialize (op_index -1, op None) and after each op.  wall_ns times the
-    routine call alone, work is the step's counter deltas, and answer is
-    the query's bool, else None.  A removal with no live match raises
-    ReplayError unless the sequence is flagged lenient, in which case it is
-    skipped and yields zero time and work.  Once deadline (a
-    time.perf_counter value) has passed, stops before the next op.
+    Builds the graph and a fresh algorithm and yields (graph, algorithm)
+    first; the next step initializes it, and each later step applies one
+    op: edges are added to the graph before edge_inserted and removed
+    before edge_deleted; a removal takes the most recent live (u, v) edge.
+    Those steps yield the step's MeasurementRecord, built once where the
+    routine is timed: wall_time_ns times the routine call alone, and the
+    counters are the step's deltas, read straight off the WorkCounters
+    slots.  A query's bool answer is appended to answers.  A removal with
+    no live match raises ReplayError unless the sequence is flagged
+    lenient, in which case it is skipped and recorded with zero time and
+    work.  Once deadline (a time.perf_counter value) has passed, stops
+    before the next op.
     """
     g = DiGraph.from_edges(seq.n, seq.initial_edges)
-    add_edge, find_edge, remove_edge = g.add_edge, g.find_edge, g.remove_edge
     counters = WorkCounters()
     alg = factory(g, seq.source, counters)
-    snapshot = counters.snapshot
+    yield g, alg
+    add_edge, find_edge, remove_edge = g.add_edge, g.find_edge, g.remove_edge
     clock = time.perf_counter_ns
-    pv, pe, pq, pr = snapshot()
+    # MeasurementRecord._make without its length check: one record per op,
+    # built from a tuple of the seven fields in order
+    new, rec = tuple.__new__, MeasurementRecord
+    pv = counters.vertices_visited
+    pe = counters.edges_scanned
+    pq = counters.queue_pops
+    pr = counters.recomputations
     t0 = clock()
     alg.initialize()
     t1 = clock()
-    cv, ce, cq, cr = snapshot()
-    yield -1, None, g, alg, None, t1 - t0, (cv - pv, ce - pe, cq - pq, cr - pr)
+    cv = counters.vertices_visited
+    ce = counters.edges_scanned
+    cq = counters.queue_pops
+    cr = counters.recomputations
+    yield new(rec, (-1, INIT, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr))
     inserted, deleted, query = alg.edge_inserted, alg.edge_deleted, alg.query
+    lenient = seq.lenient
     for i, op in enumerate(seq.ops):
         if deadline is not None and time.perf_counter() > deadline:
             return
         kind, u, v = op
-        pv, pe, pq, pr = cv, ce, cq, cr
-        ans = None
+        pv = cv
+        pe = ce
+        pq = cq
+        pr = cr
         if kind == ADD:
             e = add_edge(u, v)
             t0 = clock()
@@ -310,7 +326,7 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory,
                 t0 = clock()
                 deleted(u, v, e)
                 t1 = clock()
-            elif not seq.lenient:
+            elif not lenient:
                 raise ReplayError(f"op {i}: no live edge ({u}, {v}) to remove")
             else:
                 t0 = t1 = 0
@@ -318,11 +334,14 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory,
             t0 = clock()
             ans = query(u)
             t1 = clock()
-            ans = bool(ans)
+            answers.append(bool(ans))
         else:
             raise ReplayError(f"op {i}: unknown kind {kind!r}")
-        cv, ce, cq, cr = snapshot()
-        yield i, op, g, alg, ans, t1 - t0, (cv - pv, ce - pe, cq - pq, cr - pr)
+        cv = counters.vertices_visited
+        ce = counters.edges_scanned
+        cq = counters.queue_pops
+        cr = counters.recomputations
+        yield new(rec, (i, kind, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr))
 
 
 def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
@@ -338,12 +357,12 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     deadline = None if timeout is None else time.perf_counter() + timeout
     records: list[MeasurementRecord] = []
     answers: list[bool] = []
+    steps = _steps(seq, factory, answers, deadline)
+    g, alg = next(steps)
+    append = records.append
     edge_sum = 0
-    record = MeasurementRecord._make
-    for i, op, g, alg, ans, ns, work in _steps(seq, factory, deadline):
-        records.append(record((i, INIT if op is None else op.kind, ns, *work)))
-        if ans is not None:
-            answers.append(ans)
+    for rec in steps:
+        append(rec)
         edge_sum += g.edge_count
     timed_out = len(records) <= len(seq.ops)
     return ReplayResult(records, answers, alg, timed_out, edge_sum / len(records))
@@ -357,8 +376,17 @@ def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory
     (op_index -1, op None) and after each operation.  Lenient-skipped
     removals are yielded with answer None like updates.
     """
-    for i, op, g, alg, ans, _, _ in _steps(seq, factory):
-        yield i, op, g, alg, ans
+    answers: list[bool] = []
+    steps = _steps(seq, factory, answers)
+    g, alg = next(steps)
+    ops = seq.ops
+    for rec in steps:
+        i = rec.op_index
+        if i < 0:
+            yield i, None, g, alg, None
+        else:
+            op = ops[i]
+            yield i, op, g, alg, answers[-1] if op.kind == QUERY else None
 
 
 class Divergence(NamedTuple):

@@ -15,12 +15,15 @@ class DiGraph:
     the vacated slot, so deletions perturb list order.  Parallel edges and
     self-loops are allowed; the vertex set is fixed at construction.
 
-    Incidence entries are (edge_id, other_endpoint) pairs.  out_lists and
-    in_lists are the live per-vertex incidence tables (out_lists[v] holds
-    v's out-entries, in_lists[v] its in-entries), not copies: they are the
-    one way to read incidence lists, and are read-only to callers.  tails
-    is the same kind of live, read-only table by edge id: tails[e] is e's
-    tail, or -1 once e is dead, with one entry per id ever issued.
+    Incidence entries are bare edge ids.  out_lists and in_lists are the
+    live per-vertex incidence tables (out_lists[v] holds the ids of v's
+    out-edges, in_lists[v] those of its in-edges), not copies: they are the
+    one way to read incidence lists, and are read-only to callers.  heads
+    and tails are the same kind of live, read-only tables by edge id, with
+    one entry per id ever issued: heads[e] is e's head, and tails[e] is
+    e's tail, or -1 once e is dead.  A traversal reads the other endpoint
+    of an entry from them: `for e in out_lists[x]: w = heads[e]`, or
+    `tails[e]` on an in-list.
 
     Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
     tail's out-list and its head's in-list), found by a scan of each;
@@ -30,9 +33,10 @@ class DiGraph:
     __slots__ = ("_out", "_in", "_tail", "_head", "_live")
 
     def __init__(self, n: int = 0):
-        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        # endpoints by edge id; a dead edge has _tail[e] == -1
+        self._out: list[list[int]] = [[] for _ in range(n)]
+        self._in: list[list[int]] = [[] for _ in range(n)]
+        # endpoints by edge id; a dead edge has _tail[e] == -1 (its _head
+        # entry stays)
         self._tail: list[int] = []
         self._head: list[int] = []
         self._live = 0
@@ -49,9 +53,10 @@ class DiGraph:
             for u, v in edges:
                 g.add_edge(u, v)  # raises at the first out-of-range edge
         out, inc = g._out, g._in
-        for e, (u, v) in enumerate(edges):
-            out[u].append((e, v))
-            inc[v].append((e, u))
+        for e, u in enumerate(tails):
+            out[u].append(e)
+        for e, v in enumerate(heads):
+            inc[v].append(e)
         g._tail, g._head, g._live = tails, heads, len(tails)
         return g
 
@@ -78,8 +83,8 @@ class DiGraph:
         self._tail.append(u)
         self._head.append(v)
         self._live += 1
-        out_u.append((e, v))
-        in_v.append((e, u))
+        out_u.append(e)
+        in_v.append(e)
         return e
 
     def remove_edge(self, e: int) -> tuple[int, int]:
@@ -88,12 +93,12 @@ class DiGraph:
         self._tail[e] = -1
         self._live -= 1
         lst = self._out[u]
-        pos = lst.index((e, v))
+        pos = lst.index(e)
         last = lst.pop()
         if pos < len(lst):
             lst[pos] = last
         lst = self._in[v]
-        pos = lst.index((e, u))
+        pos = lst.index(e)
         last = lst.pop()
         if pos < len(lst):
             lst[pos] = last
@@ -107,12 +112,12 @@ class DiGraph:
         if not (0 <= u < n and 0 <= v < n):
             return None
         # scan the shorter list: u's out-entries for head v, or v's in-entries for tail u
-        lst, other = self._out[u], v
+        lst, ends, other = self._out[u], self._head, v
         if len(self._in[v]) < len(lst):
-            lst, other = self._in[v], u
+            lst, ends, other = self._in[v], self._tail, u
         best = -1
-        for e, w in lst:
-            if w == other and e > best:
+        for e in lst:
+            if ends[e] == other and e > best:
                 best = e
         return best if best >= 0 else None
 
@@ -128,14 +133,20 @@ class DiGraph:
         raise ValueError(f"edge id {e} is not live")
 
     @property
-    def out_lists(self) -> list[list[tuple[int, int]]]:
+    def out_lists(self) -> list[list[int]]:
         """Out-entries of every vertex, indexed by tail; live and read-only."""
         return self._out
 
     @property
-    def in_lists(self) -> list[list[tuple[int, int]]]:
+    def in_lists(self) -> list[list[int]]:
         """In-entries of every vertex, indexed by head; live and read-only."""
         return self._in
+
+    @property
+    def heads(self) -> list[int]:
+        """Head of every edge id ever issued, dead ones included; live and
+        read-only."""
+        return self._head
 
     @property
     def tails(self) -> list[int]:
@@ -155,9 +166,9 @@ class DiGraph:
         assert len(tail) == len(head)
         live = [e for e, u in enumerate(tail) if u >= 0]
         assert self._live == len(live)
-        for lists, own, other in ((self._out, tail, head), (self._in, head, tail)):
+        for lists, own in ((self._out, tail), (self._in, head)):
             for x, lst in enumerate(lists):
-                for e, y in lst:
-                    assert own[e] == x and other[e] == y
+                for e in lst:
+                    assert own[e] == x
             # each live edge exactly once, no dead one
-            assert sorted(e for lst in lists for e, _ in lst) == live
+            assert sorted(e for lst in lists for e in lst) == live

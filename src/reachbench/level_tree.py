@@ -155,12 +155,13 @@ class _IndexedEs(_EsBase):
         visits = 1
         scans = 0
         q = deque([s])
-        out = g.out_lists
+        out, heads = g.out_lists, g.heads
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e, w in out[x]:
+            for e in out[x]:
                 scans += 1
+                w = heads[e]
                 lst = in_list[w]
                 in_pos[e] = len(lst)
                 lst.append(e)
@@ -172,9 +173,9 @@ class _IndexedEs(_EsBase):
         # edges out of unreachable tails, in vertex order, after all others
         for x in range(n):
             if level[x] == n:
-                for e, w in out[x]:
+                for e in out[x]:
                     scans += 1
-                    lst = in_list[w]
+                    lst = in_list[heads[e]]
                     in_pos[e] = len(lst)
                     lst.append(e)
         c.vertices_visited += visits
@@ -193,7 +194,7 @@ class _IndexedEs(_EsBase):
         assert len(in_pos) == len(self.graph.tails)
         for v, ins in enumerate(self.graph.in_lists):
             lst = self.in_list[v]
-            assert sorted(lst) == sorted(e for e, _ in ins), v
+            assert sorted(lst) == sorted(ins), v
             assert all(in_pos[e] == pos for pos, e in enumerate(lst)), v
         super().check_invariants()
 
@@ -220,12 +221,13 @@ class _IndexedEs(_EsBase):
         visits = 0
         scans = 0
         q = deque([v])
-        out = self.graph.out_lists
+        out, heads = self.graph.out_lists, self.graph.heads
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e, w in out[x]:
+            for e in out[x]:
                 scans += 1
+                w = heads[e]
                 lw = level[w]
                 if lx1 < lw:
                     level[w] = lx1
@@ -273,7 +275,7 @@ class EvenShiloachTree(_IndexedEs):
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
-        tails = self.graph.tails
+        tails, heads = self.graph.tails, self.graph.heads
         out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
@@ -298,8 +300,9 @@ class EvenShiloachTree(_IndexedEs):
                 c.edges_scanned += scans
                 return
             level[w] = lw + 1
-            for e, h in out[w]:
+            for e in out[w]:
                 scans += 1
+                h = heads[e]
                 if h != w and level[h] < n and in_pos[e] == tei[h]:
                     c.edges_scanned += scans
                     scans = 0
@@ -323,7 +326,7 @@ class MultiLevelEsTree(_IndexedEs):
         in_list = self.in_list
         in_pos = self.in_pos
         tei = self.tei
-        tails = self.graph.tails
+        tails, heads = self.graph.tails, self.graph.heads
         out = self.graph.out_lists
 
         def step(w: int, lw: int) -> Iterable[int]:
@@ -348,8 +351,8 @@ class MultiLevelEsTree(_IndexedEs):
                     lmin = lx
                     emin = i
             edges = out[w]
-            children = [h for e, h in edges
-                        if h != w and level[h] < n and in_pos[e] == tei[h]]
+            children = [h for e in edges
+                        if (h := heads[e]) != w and level[h] < n and in_pos[e] == tei[h]]
             c.edges_scanned += sz + len(edges)
             c.vertices_visited += 1
             if lmin + 1 >= n:
@@ -400,12 +403,13 @@ class SimplifiedEsTree(_EsBase):
         visits = 0
         scans = 0
         q = deque([v])
-        out = self.graph.out_lists
+        out, heads = self.graph.out_lists, self.graph.heads
         while q:
             x = q.popleft()
             lx1 = level[x] + 1
-            for e, w in out[x]:
+            for e in out[x]:
                 scans += 1
+                w = heads[e]
                 if lx1 < level[w]:
                     level[w] = lx1
                     tree_edge[w] = e
@@ -425,14 +429,15 @@ class SimplifiedEsTree(_EsBase):
         n = self._inf
         level = self.level
         tree_edge = self.tree_edge
-        in_lists = self.graph.in_lists
-        out = self.graph.out_lists
+        in_lists, tails = self.graph.in_lists, self.graph.tails
+        out, heads = self.graph.out_lists, self.graph.heads
 
         def step(w: int, lw: int) -> Iterable[int]:
             lmin = n
             best = None
             ins = in_lists[w]
-            for e, x in ins:
+            for e in ins:
+                x = tails[e]
                 if x == w:
                     continue  # a self-loop can never anchor its own level
                 lx = level[x]
@@ -445,8 +450,8 @@ class SimplifiedEsTree(_EsBase):
                 c.edges_scanned += len(ins)
                 return ()
             edges = out[w]
-            children = [h for e, h in edges
-                        if h != w and level[h] < n and tree_edge[h] == e]
+            children = [h for e in edges
+                        if (h := heads[e]) != w and level[h] < n and tree_edge[h] == e]
             c.edges_scanned += len(ins) + len(edges)
             c.vertices_visited += 1
             if newl >= n:

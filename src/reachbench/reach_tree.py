@@ -57,6 +57,43 @@ class IncrementalReachTree(SsrAlgorithm):
     def query(self, t: int) -> bool:
         return self.state[t] == REACHABLE
 
+    def check_invariants(self) -> None:
+        """Full-scan check of the tree; raises AssertionError on a violation:
+        the source is reachable with no tree edge and no vertex is left
+        unknown; every other reachable vertex hangs off a live edge whose
+        tail is reachable, and an unreachable one has no tree edge;
+        children[x] holds exactly the reachable vertices whose tree edge
+        leaves x; and every tree-edge chain reaches the source acyclically."""
+        g = self.graph
+        n = g.vertex_count
+        s = self.source
+        state = self.state
+        tree_edge = self.tree_edge
+        assert state[s] == REACHABLE and tree_edge[s] is None
+        kids = [set() for _ in range(n)]
+        for v in range(n):
+            st = state[v]
+            assert st != UNKNOWN, v
+            if st == REACHABLE and v != s:
+                e = tree_edge[v]
+                assert g.is_live(e), v
+                x, head = g.endpoints(e)
+                assert head == v and state[x] == REACHABLE, v
+                kids[x].add(v)
+            elif st == UNREACHABLE:
+                assert tree_edge[v] is None, v
+        assert [set(c) for c in self.children] == kids
+        tails = g.tails
+        for v in range(n):
+            if state[v] != REACHABLE:
+                continue
+            seen = set()
+            x = v
+            while x != s:
+                assert x not in seen, v
+                seen.add(x)
+                x = tails[tree_edge[x]]
+
     def _claim(self, w: int, e: int, p: int) -> None:
         """Attach w below p via tree edge e and mark it reachable."""
         self.state[w] = REACHABLE
@@ -74,12 +111,13 @@ class IncrementalReachTree(SsrAlgorithm):
         visits = 0
         scans = 0
         q = deque([v])
-        out = self.graph.out_lists
+        out, heads = self.graph.out_lists, self.graph.heads
         while q:
             x = q.popleft()
             kids = children[x]
-            for e, w in out[x]:
+            for e in out[x]:
                 scans += 1
+                w = heads[e]
                 if state[w] != REACHABLE:
                     state[w] = REACHABLE
                     tree_edge[w] = e
@@ -154,11 +192,12 @@ class IncrementalReachTree(SsrAlgorithm):
         visits = 1
         scans = 0
         found = None
-        in_lists = g.in_lists
+        in_lists, tails = g.in_lists, g.tails
         while q and found is None:
             y = q.popleft()
-            for e, x in in_lists[y]:
+            for e in in_lists[y]:
                 scans += 1
+                x = tails[e]
                 st = state[x]
                 if st == REACHABLE:
                     found = (x, e, y)

@@ -2,8 +2,9 @@
 variant invalidated by critical updates, and a lazy variant that keeps a
 suspendable traversal.
 
-Every traversal reads the graph's live out-lists in incidence-list order
-and marks a vertex when an entry first leads to it.  Counting rule: each
+Every traversal reads the graph's live out-lists of edge ids in
+incidence-list order, takes each entry's head from `DiGraph.heads`, and
+marks a vertex when an entry first leads to it.  Counting rule: each
 marked vertex, the source included, is one vertex visited, and each
 out-list entry read is one edge scanned; a traversal that stops at a
 target has read its out-lists up to and including the entry that marked
@@ -26,12 +27,13 @@ from __future__ import annotations
 from itertools import islice
 
 from .core import SsrAlgorithm, WorkCounters, oracle_reach_set
+from .graph import DiGraph
 
 
-def _bfs(out: list, reached: bytearray, order: list[int], head: int, pos: int,
+def _bfs(g: DiGraph, reached: bytearray, order: list[int], head: int, pos: int,
          t: int | None, counters: WorkCounters) -> tuple[int, int] | None:
-    """Run or resume a BFS whose frontier is `order[head:]`, with `pos`
-    entries of `order[head]`'s out-list already read.
+    """Run or resume a BFS over g whose frontier is `order[head:]`, with
+    `pos` entries of `order[head]`'s out-list already read.
 
     Newly marked vertices are appended to `order`.  Returns the (head, pos)
     cursor just past the entry that marked `t`, or None once the frontier
@@ -39,19 +41,21 @@ def _bfs(out: list, reached: bytearray, order: list[int], head: int, pos: int,
     """
     if t is None:
         t = -1  # an int compares with an int faster than with None
+    out, ends = g.out_lists, g.heads  # not `heads`: `head` is the cursor
     marked = len(order)
     scans = -pos
     for x in islice(order, head, None) if head else order:
         lst = out[x]
         scans += len(lst)
-        for _, w in islice(lst, pos, None) if pos else lst:
+        for e in islice(lst, pos, None) if pos else lst:
+            w = ends[e]
             if not reached[w]:
                 reached[w] = 1
                 order.append(w)
                 if w == t:
                     # t was unmarked until this entry, so its first entry
                     # at or after pos is the one just read
-                    while lst[pos][1] != t:
+                    while ends[lst[pos]] != t:
                         pos += 1
                     pos += 1
                     counters.vertices_visited += len(order) - marked
@@ -63,13 +67,14 @@ def _bfs(out: list, reached: bytearray, order: list[int], head: int, pos: int,
     return None
 
 
-def _dfs(out: list, reached: bytearray, stack: list[list[int]],
+def _dfs(g: DiGraph, reached: bytearray, stack: list[list[int]],
          t: int | None, counters: WorkCounters) -> bool:
-    """Run or resume a DFS whose frontier is `stack`, a list of
+    """Run or resume a DFS over g whose frontier is `stack`, a list of
     [vertex, next out-list index] cursors.  Returns True once `t` is marked
     (the stack left suspended), False once the stack is empty."""
     if t is None:
         t = -1  # as in _bfs
+    out, ends = g.out_lists, g.heads
     visits = 0
     scans = 0
     found = False
@@ -79,7 +84,7 @@ def _dfs(out: list, reached: bytearray, stack: list[list[int]],
         i = start = cur[1]
         sz = len(lst)
         while i < sz:
-            w = lst[i][1]
+            w = ends[lst[i]]
             i += 1
             if not reached[w]:
                 break
@@ -101,11 +106,11 @@ def _dfs(out: list, reached: bytearray, stack: list[list[int]],
 
 
 def _fresh_bfs(alg: SsrAlgorithm, reached: bytearray, t: int | None) -> None:
-    _bfs(alg.graph.out_lists, reached, [alg.source], 0, 0, t, alg.counters)
+    _bfs(alg.graph, reached, [alg.source], 0, 0, t, alg.counters)
 
 
 def _fresh_dfs(alg: SsrAlgorithm, reached: bytearray, t: int | None) -> None:
-    _dfs(alg.graph.out_lists, reached, [[alg.source, 0]], t, alg.counters)
+    _dfs(alg.graph, reached, [[alg.source, 0]], t, alg.counters)
 
 
 class _StaticSearch(SsrAlgorithm):
@@ -269,12 +274,12 @@ class _LazySearch(_FlaggedSearch):
         super().check_invariants()
         if self.crit_del:
             return
-        out = self.graph.out_lists
+        out, heads = self.graph.out_lists, self.graph.heads
         marked = {v for v, c in enumerate(self.cache) if c}
-        heads = {w for x, end in self._read_entries() for _, w in out[x][:end]}
-        assert marked - {self.source} <= heads
+        led_to = {heads[e] for x, end in self._read_entries() for e in out[x][:end]}
+        assert marked - {self.source} <= led_to
         if not self.crit_ins:
-            assert heads <= marked
+            assert led_to <= marked
 
 
 class LazyBfs(_LazySearch):
@@ -285,8 +290,8 @@ class LazyBfs(_LazySearch):
         self.pos = 0
 
     def _run_until(self, t: int | None) -> None:
-        stop = _bfs(self.graph.out_lists, self.cache, self.order, self.head,
-                    self.pos, t, self.counters)
+        stop = _bfs(self.graph, self.cache, self.order, self.head, self.pos, t,
+                    self.counters)
         if stop is None:
             self.head, self.pos = len(self.order), 0
             self.exhausted = True
@@ -321,7 +326,7 @@ class LazyDfs(_LazySearch):
         self.stack = [[self.source, 0]]
 
     def _run_until(self, t: int | None) -> None:
-        _dfs(self.graph.out_lists, self.cache, self.stack, t, self.counters)
+        _dfs(self.graph, self.cache, self.stack, t, self.counters)
         if not self.stack:
             self.exhausted = True
 

@@ -1,6 +1,8 @@
 """Shared drivers for exercising algorithms outside the replay engine."""
 
-from reachbench.core import SsrAlgorithm, WorkCounters
+from hypothesis import strategies as st
+
+from reachbench.core import ADD, REMOVE, Operation, OperationSequence, SsrAlgorithm, WorkCounters
 from reachbench.graph import DiGraph
 
 
@@ -41,3 +43,37 @@ def sweep(alg: SsrAlgorithm, n: int) -> list[bool]:
 def delta(counters: WorkCounters, before: tuple[int, int, int, int]):
     """(vertices_visited, edges_scanned, queue_pops, recomputations) since before."""
     return tuple(a - b for a, b in zip(counters.snapshot(), before))
+
+
+@st.composite
+def lenient_scripts(draw) -> OperationSequence:
+    """A lenient op script over n=1..8, weighted towards self-loops,
+    parallel edges, removals at the source, removals of an initial tree
+    edge, removals with no live match, and removing then re-adding a pair
+    (new ids past the dead ones)."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    source = draw(vertex)
+    pair = st.tuples(vertex, vertex)
+    loop = vertex.map(lambda x: (x, x))
+    at_source = st.one_of(vertex.map(lambda x: (source, x)), vertex.map(lambda x: (x, source)))
+    edge = st.one_of(pair, loop, at_source)
+    initial = draw(st.lists(edge, min_size=n, max_size=3 * n))
+    # the pairs by which a BFS over the initial edges in list order first
+    # reaches each vertex: removing one detaches a subtree of a fresh tree
+    tree, frontier = [], [source]
+    for x in frontier:
+        for u, v in initial:
+            if u == x and v not in frontier:
+                frontier.append(v)
+                tree.append((u, v))
+    step = st.one_of(
+        edge.map(lambda p: [Operation(ADD, *p)]),
+        edge.map(lambda p: [Operation(ADD, *p)] * 2),
+        edge.map(lambda p: [Operation(REMOVE, *p)]),
+        pair.map(lambda p: [Operation(REMOVE, *p)]),
+        edge.map(lambda p: [Operation(REMOVE, *p), Operation(ADD, *p)]),
+        st.sampled_from(tree or [(source, source)]).map(lambda p: [Operation(REMOVE, *p)]),
+    )
+    ops = [op for ops in draw(st.lists(step, max_size=30)) for op in ops]
+    return OperationSequence(n, source, initial, ops, lenient=True)

@@ -1,6 +1,7 @@
 """Config-string registry, aggregation, CSV output, and the CLI verbs."""
 
 import dataclasses
+import gc
 import math
 import re
 from pathlib import Path
@@ -25,6 +26,7 @@ from reachbench.core import (
     Divergence,
     Operation,
     OperationSequence,
+    ReplayError,
     WorkCounters,
     load_sequence,
     save_sequence,
@@ -125,6 +127,40 @@ def test_run_benchmark_counters_are_reproducible():
     keys = ("n", "d_avg", "sigma", "vertices_visited", "edges_scanned",
             "queue_pops", "recomputations", "timed_out")
     assert [getattr(a, k) for k in keys] == [getattr(b, k) for k in keys]
+
+
+def test_run_benchmark_pauses_the_collector_around_each_replay(monkeypatch):
+    import reachbench.bench as bench
+
+    replay = bench.replay
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "replay", spy)
+    seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
+    run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=2), seq)
+    assert seen == [False, False]
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=1), seq)
+        assert not gc.isenabled()  # a paused collector stays paused
+    finally:
+        gc.enable()
+
+
+def test_run_benchmark_restores_the_collector_after_a_replay_error_or_timeout():
+    broken = OperationSequence(n=2, source=0, ops=[Operation(REMOVE, 0, 1)])
+    with pytest.raises(ReplayError):
+        run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=1), broken)
+    assert gc.isenabled()
+    seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
+    row = run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=2, timeout=0), seq)
+    assert row.timed_out
+    assert gc.isenabled()
 
 
 HEADER = ("instance,algorithm,n,d_avg,sigma,init_us,ins_us,del_us,upd_us,"

@@ -323,11 +323,23 @@ REBUILD_SPECS = ("si:R:SF:0", "si:nR:SF:0", "si:R:nSF:.25", "si:R:SF:1",
                  "ses:inf:0", "ses:1:inf")
 REBUILD_FINGERPRINT = "ecf88289438e1efad09339443a3b8427c55da7b8d95966d037db95dc4b3f1c1c"
 
+#: The two lazy searches on the same Kronecker stream, with each step's
+#: suspended frontier hashed too: lbfs's (head, pos, order) cursor and
+#: ldfs's [vertex, cursor] stack.
+LAZY_SPECS = ("lbfs", "ldfs")
+LAZY_CURSOR_FINGERPRINT = "3ca79b33f6f1ddaf7d38b7a3757ae27cc1178f61099ad1ad3f54dd4a8f1dfcb2"
+
 
 def _tree_state(alg):
     if hasattr(alg, "children"):
         return bytes(alg.state), tuple(alg.tree_edge), [tuple(k) for k in alg.children]
     return alg.levels(), tuple(alg.tree_edge)
+
+
+def _lazy_cursor(alg):
+    if hasattr(alg, "order"):
+        return alg.head, alg.pos, tuple(alg.order)
+    return [tuple(cursor) for cursor in alg.stack]
 
 
 @pytest.mark.parametrize("instance,specs,step_state,fingerprint", [
@@ -339,6 +351,8 @@ def _tree_state(alg):
                  id="query-heavy"),
     pytest.param(_er_instance, REBUILD_SPECS, _tree_state, REBUILD_FINGERPRINT,
                  id="rebuild-heavy"),
+    pytest.param(_kron_query_instance, LAZY_SPECS, _lazy_cursor, LAZY_CURSOR_FINGERPRINT,
+                 id="lazy-cursor"),
 ])
 def test_replay_fingerprint_is_unchanged(instance, specs, step_state, fingerprint):
     seq = instance()

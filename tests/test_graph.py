@@ -1,5 +1,7 @@
 """Dynamic multigraph: id stability, multi-edges, swap removal."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,12 +127,16 @@ def test_find_edge_outside_the_vertex_range_is_none():
 
 
 def test_incidence_entries_pair_id_with_other_endpoint():
+    """Entries are bare edge ids; heads and tails pair each with the other
+    endpoint."""
     g = DiGraph(3)
     e1 = g.add_edge(0, 1)
     e2 = g.add_edge(0, 2)
-    assert g.out_lists[0] == [(e1, 1), (e2, 2)]
-    assert g.in_lists[1] == [(e1, 0)]
-    assert g.in_lists[2] == [(e2, 0)]
+    assert g.out_lists[0] == [e1, e2]
+    assert g.in_lists[1] == [e1]
+    assert g.in_lists[2] == [e2]
+    assert [g.heads[e] for e in g.out_lists[0]] == [1, 2]
+    assert [g.tails[e] for e in g.in_lists[1] + g.in_lists[2]] == [0, 0]
 
 
 def test_swap_removal_moves_last_entry_into_hole():
@@ -139,12 +145,12 @@ def test_swap_removal_moves_last_entry_into_hole():
     e2 = g.add_edge(0, 2)
     e3 = g.add_edge(0, 3)
     g.remove_edge(e1)
-    assert g.out_lists[0] == [(e3, 3), (e2, 2)]
+    assert g.out_lists[0] == [e3, e2]
     g.check_invariants()
 
 
 def _plant_dead_id(g, dead):
-    g._out[1].append((dead, 0))
+    g._out[1].append(dead)
 
 
 def _plant_wrong_head(g, dead):
@@ -190,6 +196,26 @@ def test_from_edges_equals_add_edge_loop(n, edges):
     for e, _, _ in loop.edges()[::2]:
         assert bulk.remove_edge(e) == loop.remove_edge(e)
     assert _state(bulk) == _state(loop)
+
+
+def test_no_collector_tracked_object_per_edge():
+    """Incidence entries are bare ints, which the collector does not track:
+    a bulk build adds the 2n incidence lists and a few containers, and
+    add_edge adds nothing."""
+    n, m = 200, 3000
+    edges = [(i % n, (7 * i + 3) % n) for i in range(m)]
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        g = DiGraph.from_edges(n, edges)
+        built = len(gc.get_objects())
+        for u, v in edges:
+            g.add_edge(u, v)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert built - before <= 2 * n + 10
+    assert after == built
 
 
 @pytest.mark.parametrize("bad", [(1, 3), (3, 1), (-1, 0), (0, -1)])
@@ -239,14 +265,16 @@ def test_random_interleaving_matches_naive_model(script):
     out = [[] for _ in range(n)]
     inc = [[] for _ in range(n)]
     ends: dict[int, tuple[int, int]] = {}  # live id -> (tail, head)
+    heads = []  # head by id, dead ones included
     next_id = 0
     for kind, *args in steps:
         if kind == "add":
             u, v = args
             assert g.add_edge(u, v) == next_id
             ends[next_id] = (u, v)
-            out[u].append((next_id, v))
-            inc[v].append((next_id, u))
+            heads.append(v)
+            out[u].append(next_id)
+            inc[v].append(next_id)
             next_id += 1
             continue
         if kind == "remove_pair":
@@ -260,14 +288,15 @@ def test_random_interleaving_matches_naive_model(script):
         u, v = ends.pop(e)
         assert g.remove_edge(e) == (u, v)
         assert not g.is_live(e)
-        _swap_remove(out[u], (e, v))
-        _swap_remove(inc[v], (e, u))
+        _swap_remove(out[u], e)
+        _swap_remove(inc[v], e)
         assert g.out_lists == out
         assert g.in_lists == inc
     g.check_invariants()
     assert g.edge_count == len(ends)
     assert g.edges() == [(e, *ends[e]) for e in sorted(ends)]
     assert g.tails == [ends[e][0] if e in ends else -1 for e in range(next_id)]
+    assert g.heads == heads
     assert g.out_lists == out
     assert g.in_lists == inc
     for u in range(n):

@@ -6,13 +6,11 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import apply_add, apply_remove, delta, make_algorithm, sweep
+from support import apply_add, apply_remove, delta, lenient_scripts, make_algorithm, sweep
 
 from reachbench.core import (
     ADD,
     REMOVE,
-    Operation,
-    OperationSequence,
     WorkCounters,
     iterate_replay,
     oracle_levels,
@@ -314,37 +312,11 @@ def test_ses_check_invariants_catches_wrong_level_tree_edge():
         alg.check_invariants()
 
 
-@st.composite
-def es_scripts(draw):
-    """A lenient op script over n=1..8, weighted towards self-loops,
-    parallel edges, removals at the source, removals with no live match,
-    and removing then re-adding a pair (new ids past the dead ones)."""
-    n = draw(st.integers(1, 8))
-    vertex = st.integers(0, n - 1)
-    source = draw(vertex)
-    pair = st.tuples(vertex, vertex)
-    loop = vertex.map(lambda x: (x, x))
-    at_source = st.one_of(vertex.map(lambda x: (source, x)), vertex.map(lambda x: (x, source)))
-    edge = st.one_of(pair, loop, at_source)
-    step = st.one_of(
-        edge.map(lambda p: [Operation(ADD, *p)]),
-        edge.map(lambda p: [Operation(ADD, *p)] * 2),
-        edge.map(lambda p: [Operation(REMOVE, *p)]),
-        pair.map(lambda p: [Operation(REMOVE, *p)]),
-        edge.map(lambda p: [Operation(REMOVE, *p), Operation(ADD, *p)]),
-    )
-    initial = draw(st.lists(edge, max_size=16))
-    ops = [op for ops in draw(st.lists(step, max_size=30)) for op in ops]
-    beta = draw(st.sampled_from([1, 2, math.inf]))
-    ratio = draw(st.sampled_from([0, 0.5, math.inf]))
-    return OperationSequence(n, source, initial, ops, lenient=True), beta, ratio
-
-
 @pytest.mark.parametrize("cls", VARIANTS)
-@given(script=es_scripts())
+@given(seq=lenient_scripts(), beta=st.sampled_from([1, 2, math.inf]),
+       ratio=st.sampled_from([0, 0.5, math.inf]))
 @settings(max_examples=300, deadline=None)
-def test_op_scripts_keep_structure_and_exact_levels(cls, script):
-    seq, beta, ratio = script
+def test_op_scripts_keep_structure_and_exact_levels(cls, seq, beta, ratio):
     for _, _, g, alg, _ in iterate_replay(seq, partial(cls, beta=beta, ratio=ratio)):
         alg.check_invariants()
         assert alg.levels() == oracle_levels(g, seq.source)

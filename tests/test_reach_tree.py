@@ -3,7 +3,9 @@
 from functools import partial
 
 import pytest
-from support import apply_add, apply_remove, delta, make_algorithm, sweep
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import apply_add, apply_remove, delta, lenient_scripts, make_algorithm, sweep
 
 from reachbench.core import (
     ADD,
@@ -27,39 +29,6 @@ def si(ratio=0.25, reverse_order=False, forward_search=True):
                    forward_search=forward_search, ratio=ratio)
 
 
-def check_tree(g: DiGraph, alg: IncrementalReachTree) -> None:
-    """Every reachable vertex hangs off a live edge whose tail is reachable,
-    children[x] holds exactly the reachable vertices whose tree edge leaves
-    x, tree-edge chains reach the source acyclically, and no unknown
-    survives."""
-    s = alg.source
-    assert alg.state[s] == REACHABLE
-    assert alg.tree_edge[s] is None
-    kids = [set() for _ in range(g.vertex_count)]
-    for v in range(g.vertex_count):
-        st = alg.state[v]
-        assert st != UNKNOWN
-        if st == REACHABLE and v != s:
-            e = alg.tree_edge[v]
-            assert e is not None and g.is_live(e)
-            x, head = g.endpoints(e)
-            assert head == v
-            assert alg.state[x] == REACHABLE
-            kids[x].add(v)
-        elif st == UNREACHABLE:
-            assert alg.tree_edge[v] is None
-    assert [set(c) for c in alg.children] == kids
-    for v in range(g.vertex_count):
-        if alg.state[v] != REACHABLE:
-            continue
-        seen = set()
-        x = v
-        while x != s:
-            assert x not in seen
-            seen.add(x)
-            x = g.endpoints(alg.tree_edge[x])[0]
-
-
 def test_ratio_validation():
     g = DiGraph(1)
     for bad in (-0.1, 1.1):
@@ -72,7 +41,7 @@ def test_initialize_builds_bfs_tree_on_chain():
     assert sweep(alg, 3) == [True, True, True]
     assert alg.tree_edge[1] == g.find_edge(0, 1)
     assert alg.tree_edge[2] == g.find_edge(1, 2)
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 def test_initialize_with_no_out_edges():
@@ -91,7 +60,7 @@ def test_insertion_claims_isolated_head():
     e = apply_add(g, alg, 0, 2)
     assert alg.query(2)
     assert alg.tree_edge[2] == e
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 def test_insertion_with_reachable_head_is_constant_time():
@@ -122,7 +91,7 @@ def test_bridge_insertion_claims_whole_component():
     assert v == 10
     assert e == 9
     assert all(alg.query(t) for t in range(11))
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 def test_deleting_nontree_edge_is_free():
@@ -141,14 +110,14 @@ def test_deletion_reanchors_via_backward_search():
     assert alg.query(2)
     assert alg.tree_edge[2] == g.find_edge(0, 2)
     assert alg.state[2] == REACHABLE
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 def test_deletion_exhausted_backward_search_marks_unreachable():
     g, alg, _ = make_algorithm(si(ratio=1.0), 4, 0, [(0, 1), (1, 2), (2, 3)])
     apply_remove(g, alg, 1, 2)
     assert sweep(alg, 4) == [True, True, False, False]
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 @pytest.mark.parametrize("forward_search,cost,anchor_of_4", [
@@ -170,7 +139,7 @@ def test_forward_claim_exact_cost(forward_search, cost, anchor_of_4):
     assert delta(c, before) == cost
     assert g.endpoints(alg.tree_edge[4])[0] == anchor_of_4
     assert sweep(alg, 5) == [True] * 5
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 def test_ratio_zero_recomputes_on_every_tree_deletion():
@@ -178,7 +147,7 @@ def test_ratio_zero_recomputes_on_every_tree_deletion():
     apply_remove(g, alg, 1, 2)
     assert c.recomputations == 1
     assert sweep(alg, 3) == [True, True, False]
-    check_tree(g, alg)
+    alg.check_invariants()
 
 
 def test_ratio_one_never_recomputes():
@@ -223,6 +192,54 @@ def test_tree_stays_valid_through_random_updates(reverse_order, forward_search):
         factory = si(ratio=ratio, reverse_order=reverse_order,
                      forward_search=forward_search)
         for s in (seq, shuffle_sequence(seq, 1)):
-            for _, op, g, alg, _ in iterate_replay(s, factory):
+            for _, op, _, alg, _ in iterate_replay(s, factory):
                 if op is None or op.kind != QUERY:
-                    check_tree(g, alg)
+                    alg.check_invariants()
+
+
+def _unknown_left(g, alg):
+    alg.state[2] = UNKNOWN
+
+
+def _dead_tree_edge(g, alg):
+    g.remove_edge(alg.tree_edge[2])
+
+
+def _stale_child(g, alg):
+    alg.children[0][2] = None
+
+
+def _unreachable_with_tree_edge(g, alg):
+    alg.state[3] = UNREACHABLE
+
+
+def _tree_cycle(g, alg):
+    # 1 and 2 hang off each other: each tree edge is live, ends at its
+    # vertex and leaves a reachable tail, and children agree
+    alg.children[0].pop(1)
+    alg.tree_edge[1] = g.find_edge(2, 1)
+    alg.children[2][1] = None
+
+
+@pytest.mark.parametrize("corrupt", [_unknown_left, _dead_tree_edge, _stale_child,
+                                     _unreachable_with_tree_edge, _tree_cycle],
+                         ids=["unknown-left", "dead-tree-edge", "stale-child",
+                              "unreachable-with-tree-edge", "tree-cycle"])
+def test_check_invariants_catches_corruption(corrupt):
+    g, alg, _ = make_algorithm(si(), 4, 0, [(0, 1), (1, 2), (2, 3), (2, 1)])
+    alg.check_invariants()
+    corrupt(g, alg)
+    with pytest.raises(AssertionError):
+        alg.check_invariants()
+
+
+@pytest.mark.parametrize("reverse_order,forward_search", ALL_FLAGS)
+@given(seq=lenient_scripts(), ratio=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_op_scripts_keep_tree_and_answers(reverse_order, forward_search, seq, ratio):
+    """Every step of a lenient op script keeps the tree's invariants, and
+    every vertex's answer matches the oracle."""
+    factory = si(ratio=ratio, reverse_order=reverse_order, forward_search=forward_search)
+    for _, _, g, alg, _ in iterate_replay(seq, factory):
+        alg.check_invariants()
+        assert bytearray(sweep(alg, seq.n)) == oracle_reach_set(g, seq.source)
