@@ -266,32 +266,26 @@ class ReplayResult:
     mean_edges: float
 
 
-def _steps(seq: OperationSequence, factory: AlgorithmFactory, answers: list[bool],
-           deadline: float | None = None) -> Iterator:
+def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: WorkCounters,
+           answers: list[bool], deadline: float | None = None) -> Iterator[MeasurementRecord]:
     """The one mutate-then-notify loop behind every replay entry point.
 
-    Builds the graph and a fresh algorithm and yields (graph, algorithm)
-    first; the next step initializes it, and each later step applies one
-    op: edges are added to the graph before edge_inserted and removed
-    before edge_deleted; a removal takes the most recent live (u, v) edge.
-    Those steps yield the step's MeasurementRecord, built once where the
-    routine is timed: wall_time_ns times the routine call alone, and the
-    counters are the step's deltas, read straight off the WorkCounters
-    slots.  A query's bool answer is appended to answers.  A removal with
-    no live match raises ReplayError unless the sequence is flagged
-    lenient, in which case it is skipped and recorded with zero time and
-    work.  Once deadline (a time.perf_counter value) has passed, stops
-    before the next op.
+    Takes the graph built from seq's initial edges and a fresh algorithm
+    on it that counts into counters.  The first step initializes the
+    algorithm, and each later step applies one op: edges are added to the
+    graph before edge_inserted and removed before edge_deleted; a removal
+    takes the most recent live (u, v) edge.  Each step yields its
+    MeasurementRecord, built once where the routine is timed:
+    wall_time_ns times the routine call alone, and the counters are the
+    step's deltas, read straight off the WorkCounters slots.  A query's
+    bool answer is appended to answers.  A removal with no live match
+    raises ReplayError unless the sequence is flagged lenient, in which
+    case it is skipped and recorded with zero time and work.  Once
+    deadline (a time.perf_counter value) has passed, stops before the
+    next op.
     """
-    g = DiGraph.from_edges(seq.n, seq.initial_edges)
-    counters = WorkCounters()
-    alg = factory(g, seq.source, counters)
-    yield g, alg
     add_edge, find_edge, remove_edge = g.add_edge, g.find_edge, g.remove_edge
     clock = time.perf_counter_ns
-    # MeasurementRecord._make without its length check: one record per op,
-    # built from a tuple of the seven fields in order
-    new, rec = tuple.__new__, MeasurementRecord
     pv = counters.vertices_visited
     pe = counters.edges_scanned
     pq = counters.queue_pops
@@ -303,7 +297,7 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory, answers: list[bool
     ce = counters.edges_scanned
     cq = counters.queue_pops
     cr = counters.recomputations
-    yield new(rec, (-1, INIT, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr))
+    yield MeasurementRecord(-1, INIT, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr)
     inserted, deleted, query = alg.edge_inserted, alg.edge_deleted, alg.query
     lenient = seq.lenient
     for i, op in enumerate(seq.ops):
@@ -341,7 +335,7 @@ def _steps(seq: OperationSequence, factory: AlgorithmFactory, answers: list[bool
         ce = counters.edges_scanned
         cq = counters.queue_pops
         cr = counters.recomputations
-        yield new(rec, (i, kind, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr))
+        yield MeasurementRecord(i, kind, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr)
 
 
 def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
@@ -355,13 +349,14 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     operations, flags the result timed_out, and keeps partial records.
     """
     deadline = None if timeout is None else time.perf_counter() + timeout
+    g = DiGraph.from_edges(seq.n, seq.initial_edges)
+    counters = WorkCounters()
+    alg = factory(g, seq.source, counters)
     records: list[MeasurementRecord] = []
     answers: list[bool] = []
-    steps = _steps(seq, factory, answers, deadline)
-    g, alg = next(steps)
     append = records.append
     edge_sum = 0
-    for rec in steps:
+    for rec in _steps(seq, g, alg, counters, answers, deadline):
         append(rec)
         edge_sum += g.edge_count
     timed_out = len(records) <= len(seq.ops)
@@ -376,11 +371,12 @@ def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory
     (op_index -1, op None) and after each operation.  Lenient-skipped
     removals are yielded with answer None like updates.
     """
+    g = DiGraph.from_edges(seq.n, seq.initial_edges)
+    counters = WorkCounters()
+    alg = factory(g, seq.source, counters)
     answers: list[bool] = []
-    steps = _steps(seq, factory, answers)
-    g, alg = next(steps)
     ops = seq.ops
-    for rec in steps:
+    for rec in _steps(seq, g, alg, counters, answers):
         i = rec.op_index
         if i < 0:
             yield i, None, g, alg, None

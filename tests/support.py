@@ -46,11 +46,15 @@ def delta(counters: WorkCounters, before: tuple[int, int, int, int]):
 
 
 @st.composite
-def lenient_scripts(draw) -> OperationSequence:
+def lenient_scripts(draw, dense: bool = False) -> OperationSequence:
     """A lenient op script over n=1..8, weighted towards self-loops,
     parallel edges, removals at the source, removals of an initial tree
     edge, removals with no live match, and removing then re-adding a pair
-    (new ids past the dead ones)."""
+    (new ids past the dead ones).
+
+    The initial graph has 0..16 edges, so it may be empty or sparse; with
+    dense it has n..3n, so more removals detach a subtree whose vertices
+    stay reachable another way."""
     n = draw(st.integers(1, 8))
     vertex = st.integers(0, n - 1)
     source = draw(vertex)
@@ -58,7 +62,8 @@ def lenient_scripts(draw) -> OperationSequence:
     loop = vertex.map(lambda x: (x, x))
     at_source = st.one_of(vertex.map(lambda x: (source, x)), vertex.map(lambda x: (x, source)))
     edge = st.one_of(pair, loop, at_source)
-    initial = draw(st.lists(edge, min_size=n, max_size=3 * n))
+    sizes = {"min_size": n, "max_size": 3 * n} if dense else {"max_size": 16}
+    initial = draw(st.lists(edge, **sizes))
     # the pairs by which a BFS over the initial edges in list order first
     # reaches each vertex: removing one detaches a subtree of a fresh tree
     tree, frontier = [], [source]
