@@ -5,7 +5,7 @@ owns all graph mutation."""
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import _tuplegetter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -170,16 +170,26 @@ class WorkCounters:
                 self.queue_pops, self.recomputations)
 
 
-class MeasurementRecord(NamedTuple):
-    """Per-operation costs; op_index is -1 for the initialize record."""
+class MeasurementRecord(tuple):
+    """Per-operation costs; op_index is -1 for the initialize record.
 
-    op_index: int
-    kind: str
-    wall_time_ns: int
-    vertices_visited: int
-    edges_scanned: int
-    queue_pops: int
-    recomputations: int
+    A plain 7-tuple (op_index, kind, wall_time_ns, vertices_visited,
+    edges_scanned, queue_pops, recomputations) whose fields also read by
+    name.  MeasurementRecord(row) builds one from its row tuple in tuple's
+    own C constructor, about half the cost of a NamedTuple's Python-level
+    __new__.  The fields are the C getters NamedTuple itself uses
+    (collections._tuplegetter), which read as fast as an index and faster
+    than property(itemgetter(i)).
+    """
+
+    __slots__ = ()
+    op_index = _tuplegetter(0, "op index, -1 for initialize")
+    kind = _tuplegetter(1, "operation kind")
+    wall_time_ns = _tuplegetter(2, "routine wall time (ns)")
+    vertices_visited = _tuplegetter(3, "counter delta")
+    edges_scanned = _tuplegetter(4, "counter delta")
+    queue_pops = _tuplegetter(5, "counter delta")
+    recomputations = _tuplegetter(6, "counter delta")
 
 
 class SsrAlgorithm:
@@ -267,7 +277,8 @@ class ReplayResult:
 
 
 def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: WorkCounters,
-           answers: list[bool], deadline: float | None = None) -> Iterator[MeasurementRecord]:
+           answers: list[bool], edge_sums: list[int],
+           deadline: float | None = None) -> Iterator[MeasurementRecord]:
     """The one mutate-then-notify loop behind every replay entry point.
 
     Takes the graph built from seq's initial edges and a fresh algorithm
@@ -282,10 +293,13 @@ def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: Work
     raises ReplayError unless the sequence is flagged lenient, in which
     case it is skipped and recorded with zero time and work.  Once
     deadline (a time.perf_counter value) has passed, stops before the
-    next op.
+    next op.  When the steps run out, or the deadline stops them, the sum
+    over all steps of the live edge count after the step is appended to
+    edge_sums.
     """
-    add_edge, find_edge, remove_edge = g.add_edge, g.find_edge, g.remove_edge
+    add_edge, pop_edge = g.add_edge, g.pop_edge
     clock = time.perf_counter_ns
+    live = edge_sum = g.edge_count
     pv = counters.vertices_visited
     pe = counters.edges_scanned
     pq = counters.queue_pops
@@ -297,12 +311,12 @@ def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: Work
     ce = counters.edges_scanned
     cq = counters.queue_pops
     cr = counters.recomputations
-    yield MeasurementRecord(-1, INIT, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr)
+    yield MeasurementRecord((-1, INIT, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr))
     inserted, deleted, query = alg.edge_inserted, alg.edge_deleted, alg.query
     lenient = seq.lenient
     for i, op in enumerate(seq.ops):
         if deadline is not None and time.perf_counter() > deadline:
-            return
+            break
         kind, u, v = op
         pv = cv
         pe = ce
@@ -310,13 +324,14 @@ def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: Work
         pr = cr
         if kind == ADD:
             e = add_edge(u, v)
+            live += 1
             t0 = clock()
             inserted(u, v, e)
             t1 = clock()
         elif kind == REMOVE:
-            e = find_edge(u, v)
+            e = pop_edge(u, v)
             if e is not None:
-                remove_edge(e)
+                live -= 1
                 t0 = clock()
                 deleted(u, v, e)
                 t1 = clock()
@@ -331,11 +346,13 @@ def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: Work
             answers.append(bool(ans))
         else:
             raise ReplayError(f"op {i}: unknown kind {kind!r}")
+        edge_sum += live
         cv = counters.vertices_visited
         ce = counters.edges_scanned
         cq = counters.queue_pops
         cr = counters.recomputations
-        yield MeasurementRecord(i, kind, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr)
+        yield MeasurementRecord((i, kind, t1 - t0, cv - pv, ce - pe, cq - pq, cr - pr))
+    edge_sums.append(edge_sum)
 
 
 def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
@@ -352,15 +369,11 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     g = DiGraph.from_edges(seq.n, seq.initial_edges)
     counters = WorkCounters()
     alg = factory(g, seq.source, counters)
-    records: list[MeasurementRecord] = []
     answers: list[bool] = []
-    append = records.append
-    edge_sum = 0
-    for rec in _steps(seq, g, alg, counters, answers, deadline):
-        append(rec)
-        edge_sum += g.edge_count
+    edge_sums: list[int] = []
+    records = list(_steps(seq, g, alg, counters, answers, edge_sums, deadline))
     timed_out = len(records) <= len(seq.ops)
-    return ReplayResult(records, answers, alg, timed_out, edge_sum / len(records))
+    return ReplayResult(records, answers, alg, timed_out, edge_sums[0] / len(records))
 
 
 def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory
@@ -376,7 +389,7 @@ def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory
     alg = factory(g, seq.source, counters)
     answers: list[bool] = []
     ops = seq.ops
-    for rec in _steps(seq, g, alg, counters, answers):
+    for rec in _steps(seq, g, alg, counters, answers, []):
         i = rec.op_index
         if i < 0:
             yield i, None, g, alg, None

@@ -27,7 +27,8 @@ class DiGraph:
 
     Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
     tail's out-list and its head's in-list), found by a scan of each;
-    find_edge(u, v) is O(min(out-degree of u, in-degree of v)).
+    find_edge(u, v) is O(min(out-degree of u, in-degree of v)); pop_edge(u,
+    v) costs the two together.
     """
 
     __slots__ = ("_out", "_in", "_tail", "_head", "_live")
@@ -90,19 +91,31 @@ class DiGraph:
     def remove_edge(self, e: int) -> tuple[int, int]:
         """Remove a live edge, returning its (tail, head)."""
         u, v = self.endpoints(e)
+        self._unlink(e, self._out[u], self._in[v])
+        return (u, v)
+
+    def pop_edge(self, u: int, v: int) -> int | None:
+        """Remove the most recently inserted live (u, v) edge and return its
+        id: remove_edge(find_edge(u, v)) in one call.  None, with the graph
+        unchanged, when there is no such edge."""
+        e = self.find_edge(u, v)
+        if e is not None:
+            self._unlink(e, self._out[u], self._in[v])
+        return e
+
+    def _unlink(self, e: int, out_u: list[int], in_v: list[int]) -> None:
+        """Mark live edge e dead and swap-remove its entries from its tail's
+        out-list out_u and its head's in-list in_v."""
         self._tail[e] = -1
         self._live -= 1
-        lst = self._out[u]
-        pos = lst.index(e)
-        last = lst.pop()
-        if pos < len(lst):
-            lst[pos] = last
-        lst = self._in[v]
-        pos = lst.index(e)
-        last = lst.pop()
-        if pos < len(lst):
-            lst[pos] = last
-        return (u, v)
+        pos = out_u.index(e)
+        last = out_u.pop()
+        if pos < len(out_u):
+            out_u[pos] = last
+        pos = in_v.index(e)
+        last = in_v.pop()
+        if pos < len(in_v):
+            in_v[pos] = last
 
     # ---- lookup ----
 

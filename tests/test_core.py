@@ -1,6 +1,9 @@
 """Sequence format, BFS oracles, and the replay engine."""
 
+import dataclasses
+import gc
 import hashlib
+import time
 
 import pytest
 
@@ -8,6 +11,7 @@ from reachbench.bench import CANONICAL_SPECS, algorithm_registry
 from reachbench.core import (
     ADD,
     INIT,
+    MeasurementRecord,
     QUERY,
     REMOVE,
     Divergence,
@@ -205,6 +209,102 @@ def test_replay_mean_live_edges():
                             ops=[Operation(REMOVE, 0, 1), Operation(ADD, 0, 1)])
     res = replay(seq, algorithm_registry("sbfs"))
     assert res.mean_edges == pytest.approx(2 / 3)
+
+
+def test_mean_live_edges_after_a_lenient_skipped_removal():
+    # the skipped removal leaves the count as it was: 2, 2, 3, 2, 2
+    seq = OperationSequence(n=3, source=0, initial_edges=[(0, 1), (1, 2)],
+                            ops=[Operation(REMOVE, 2, 0), Operation(ADD, 0, 1),
+                                 Operation(REMOVE, 0, 1), Operation(QUERY, 2)],
+                            lenient=True)
+    factory = algorithm_registry("sbfs")
+    res = replay(seq, factory)
+    assert [g.edge_count for _, _, g, _, _ in iterate_replay(seq, factory)] == [2, 2, 3, 2, 2]
+    assert res.mean_edges == 11 / 5
+    assert res.records[1][2:] == (0, 0, 0, 0, 0)
+
+
+def test_mean_live_edges_over_the_records_a_timeout_keeps(monkeypatch):
+    # a clock that ticks one second per read: replay reads it once to set
+    # the deadline (3.0) and once before each op, so three ops run
+    ticks = iter(range(100))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    seq = OperationSequence(n=2, source=0, initial_edges=[(0, 1)],
+                            ops=[Operation(ADD, 1, 0), Operation(ADD, 0, 0),
+                                 Operation(REMOVE, 0, 1), Operation(ADD, 0, 1),
+                                 Operation(ADD, 0, 1)])
+    res = replay(seq, algorithm_registry("sbfs"), timeout=3.0)
+    assert res.timed_out
+    assert [r.op_index for r in res.records] == [-1, 0, 1, 2]
+    # live counts 1, 2, 3, 2
+    assert res.mean_edges == 8 / 4
+
+
+def test_mean_live_edges_around_a_replay_error_part_way():
+    """A strict sequence raises at its first unmatched removal and returns
+    nothing; the same ops up to the error, replayed on their own, count
+    their live edges as the steps before the error saw them."""
+    ops = [Operation(ADD, 1, 0), Operation(REMOVE, 0, 1), Operation(ADD, 0, 1),
+           Operation(REMOVE, 1, 1), Operation(QUERY, 1)]
+    seq = OperationSequence(n=2, source=0, initial_edges=[(0, 1)], ops=ops)
+    factory = algorithm_registry("sbfs")
+    with pytest.raises(ReplayError, match=r"op 3: no live edge \(1, 1\)"):
+        replay(seq, factory)
+    seen = []
+    with pytest.raises(ReplayError, match="op 3"):
+        for _, _, g, _, _ in iterate_replay(seq, factory):
+            seen.append(g.edge_count)
+    assert seen == [1, 2, 1, 2]
+    prefix = dataclasses.replace(seq, ops=ops[:3])
+    assert replay(prefix, factory).mean_edges == sum(seen) / 4
+    lenient = dataclasses.replace(seq, lenient=True)
+    assert replay(lenient, factory).mean_edges == (sum(seen) + 2 + 2) / 6
+
+
+def test_a_record_is_a_plain_tuple_of_its_fields():
+    seq = OperationSequence(n=3, source=0, initial_edges=[(0, 1)],
+                            ops=[Operation(ADD, 1, 2), Operation(QUERY, 2)])
+    rec = replay(seq, algorithm_registry("cbfs")).records[2]
+    fields = ("op_index", "kind", "wall_time_ns", "vertices_visited", "edges_scanned",
+              "queue_pops", "recomputations")
+    row = tuple(getattr(rec, name) for name in fields)
+    assert isinstance(rec, tuple) and len(rec) == 7
+    assert rec == row and hash(rec) == hash(row)
+    op_index, kind, wall, visited, scanned, pops, recomputations = rec
+    assert (op_index, kind, wall, visited, scanned, pops, recomputations) == row
+    assert (op_index, kind) == (1, QUERY)
+    # the cached search rebuilds on this query: 3 vertices, 2 edges
+    assert (visited, scanned, pops, recomputations) == (3, 2, 0, 1)
+    assert rec[1:3] == (kind, wall)
+    assert MeasurementRecord((0, ADD, 5, 1, 2, 3, 4)).queue_pops == 3
+
+
+def test_no_collector_tracked_object_per_operation_beyond_its_record():
+    """A replay of N operations keeps N + 1 records, and the engine adds no
+    other container per operation: a no-op algorithm's replay adds at most
+    N + 1 collector-tracked objects beyond the graph's 2n lists and a few
+    fixed ones."""
+    class Nop(SsrAlgorithm):
+        def query(self, t: int) -> bool:
+            return t == self.source
+
+    n, ops = 50, []
+    for i in range(1000):
+        u, v = i % n, (7 * i + 3) % n
+        ops += [Operation(ADD, u, v), Operation(QUERY, v), Operation(REMOVE, u, v),
+                Operation(REMOVE, u, v)]
+    seq = OperationSequence(n=n, source=0, initial_edges=[(0, 1)] * 20, ops=ops,
+                            lenient=True)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        res = replay(seq, Nop)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert len(res.records) == len(ops) + 1
+    assert after - before <= len(ops) + 1 + 2 * n + 20
 
 
 def test_strict_replay_rejects_unmatched_removal():

@@ -303,3 +303,41 @@ def test_random_interleaving_matches_naive_model(script):
         for v in range(n):
             ids = [e for e, uv in ends.items() if uv == (u, v)]
             assert g.find_edge(u, v) == (max(ids) if ids else None)
+
+
+@st.composite
+def pop_scripts(draw):
+    """Adds weighted towards parallel edges and self-loops, then pops of any
+    pair, out-of-range endpoints included."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertex = st.integers(0, n - 1)
+    pair = st.one_of(st.tuples(vertex, vertex), vertex.map(lambda x: (x, x)),
+                     st.sampled_from([(0, n - 1)]))
+    anywhere = st.integers(-2, n + 1)
+    step = st.one_of(st.tuples(st.just("add"), pair),
+                     st.tuples(st.just("add_twice"), pair),
+                     st.tuples(st.just("pop"), pair),
+                     st.tuples(st.just("pop"), st.tuples(anywhere, anywhere)))
+    return n, draw(st.lists(step, max_size=50))
+
+
+@given(pop_scripts())
+@settings(max_examples=300)
+def test_pop_edge_matches_find_edge_then_remove_edge(script):
+    """pop_edge(u, v) removes the same id as remove_edge(find_edge(u, v)),
+    leaves the same lists in the same order, and is None on a miss."""
+    n, steps = script
+    popped, twostep = DiGraph(n), DiGraph(n)
+    for kind, (u, v) in steps:
+        if kind == "pop":
+            e = twostep.find_edge(u, v)
+            if e is not None:
+                assert twostep.remove_edge(e) == (u, v)
+            assert popped.pop_edge(u, v) == e
+        else:
+            for _ in range(1 + (kind == "add_twice")):
+                assert popped.add_edge(u, v) == twostep.add_edge(u, v)
+        popped.check_invariants()
+        assert _state(popped) == _state(twostep)
+        assert popped.tails == twostep.tails
+        assert popped.heads == twostep.heads

@@ -3,7 +3,7 @@
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import apply_add, apply_remove, delta, lenient_scripts, make_algorithm, sweep
 
@@ -11,6 +11,8 @@ from reachbench.core import (
     ADD,
     QUERY,
     REMOVE,
+    Operation,
+    OperationSequence,
     WorkCounters,
     iterate_replay,
     oracle_reach_set,
@@ -233,8 +235,24 @@ def test_check_invariants_catches_corruption(corrupt):
         alg.check_invariants()
 
 
+#: Scripts that delete a tree edge whose head stays reachable through
+#: another in-edge, so the backward search in `_resolve` must walk from the
+#: head to a reachable tail: directly, from a detached child, or through an
+#: unknown vertex one step further back.
+_REANCHOR_SCRIPTS = [
+    OperationSequence(3, 0, [(0, 1), (0, 2), (2, 1)], [Operation(REMOVE, 0, 1)], lenient=True),
+    OperationSequence(4, 0, [(0, 1), (1, 2), (0, 3), (3, 2)], [Operation(REMOVE, 0, 1)],
+                      lenient=True),
+    OperationSequence(5, 0, [(0, 1), (1, 2), (2, 1), (0, 4), (4, 2)],
+                      [Operation(REMOVE, 0, 1)], lenient=True),
+]
+
+
 @pytest.mark.parametrize("reverse_order,forward_search", ALL_FLAGS)
 @given(seq=lenient_scripts(dense=True), ratio=st.sampled_from([0.0, 0.5, 1.0]))
+@example(seq=_REANCHOR_SCRIPTS[0], ratio=1.0)
+@example(seq=_REANCHOR_SCRIPTS[1], ratio=1.0)
+@example(seq=_REANCHOR_SCRIPTS[2], ratio=1.0)
 @settings(max_examples=300, deadline=None)
 def test_op_scripts_keep_tree_and_answers(reverse_order, forward_search, seq, ratio):
     """Every step of a lenient op script keeps the tree's invariants, and
