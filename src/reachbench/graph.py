@@ -23,18 +23,25 @@ class DiGraph:
     one entry per id ever issued: heads[e] is e's head, and tails[e] is
     e's tail, or -1 once e is dead.  A traversal reads the other endpoint
     of an entry from them: `for e in out_lists[x]: w = heads[e]`, or
-    `tails[e]` on an in-list.
+    `tails[e]` on an in-list.  A traversal that needs only the heads, not
+    the ids, reads out_heads, a third live, read-only per-vertex table in
+    step with out_lists: out_heads[x][i] == heads[out_lists[x][i]] for
+    every entry, so `for w in out_heads[x]` reads no edge id at all.
 
     Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
     tail's out-list and its head's in-list), found by a scan of each;
-    find_edge(u, v) is O(min(out-degree of u, in-degree of v)); pop_edge(u,
-    v) costs the two together.
+    find_edge(u, v) is O(out-degree of u): list.count and list.index, C
+    scans of out_heads[u], find v's slots, and out_lists[u] is read only
+    at those; pop_edge(u, v) costs the two together.  The head table costs
+    one more list slot per edge and one more list per vertex.
     """
 
-    __slots__ = ("_out", "_in", "_tail", "_head", "_live")
+    __slots__ = ("_out", "_out_heads", "_in", "_tail", "_head", "_live")
 
     def __init__(self, n: int = 0):
         self._out: list[list[int]] = [[] for _ in range(n)]
+        # _out_heads[x][i] is the head of edge _out[x][i]
+        self._out_heads: list[list[int]] = [[] for _ in range(n)]
         self._in: list[list[int]] = [[] for _ in range(n)]
         # endpoints by edge id; a dead edge has _tail[e] == -1 (its _head
         # entry stays)
@@ -53,9 +60,10 @@ class DiGraph:
         if edges and (min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n):
             for u, v in edges:
                 g.add_edge(u, v)  # raises at the first out-of-range edge
-        out, inc = g._out, g._in
-        for e, u in enumerate(tails):
+        out, out_heads, inc = g._out, g._out_heads, g._in
+        for e, (u, v) in enumerate(edges):
             out[u].append(e)
+            out_heads[u].append(v)
         for e, v in enumerate(heads):
             inc[v].append(e)
         g._tail, g._head, g._live = tails, heads, len(tails)
@@ -79,19 +87,20 @@ class DiGraph:
             raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
         # both lookups before the first write: a non-int endpoint raises
         # TypeError here and leaves the graph as it was
-        out_u, in_v = self._out[u], self._in[v]
+        out_u, heads_u, in_v = self._out[u], self._out_heads[u], self._in[v]
         e = len(self._tail)
         self._tail.append(u)
         self._head.append(v)
         self._live += 1
         out_u.append(e)
+        heads_u.append(v)
         in_v.append(e)
         return e
 
     def remove_edge(self, e: int) -> tuple[int, int]:
         """Remove a live edge, returning its (tail, head)."""
         u, v = self.endpoints(e)
-        self._unlink(e, self._out[u], self._in[v])
+        self._unlink(e, u, v)
         return (u, v)
 
     def pop_edge(self, u: int, v: int) -> int | None:
@@ -100,18 +109,21 @@ class DiGraph:
         unchanged, when there is no such edge."""
         e = self.find_edge(u, v)
         if e is not None:
-            self._unlink(e, self._out[u], self._in[v])
+            self._unlink(e, u, v)
         return e
 
-    def _unlink(self, e: int, out_u: list[int], in_v: list[int]) -> None:
-        """Mark live edge e dead and swap-remove its entries from its tail's
-        out-list out_u and its head's in-list in_v."""
+    def _unlink(self, e: int, u: int, v: int) -> None:
+        """Mark live edge e = (u, v) dead and swap-remove its entries from
+        u's out-list, the same slot of u's head list, and v's in-list."""
         self._tail[e] = -1
         self._live -= 1
+        out_u, heads_u, in_v = self._out[u], self._out_heads[u], self._in[v]
         pos = out_u.index(e)
         last = out_u.pop()
+        last_head = heads_u.pop()
         if pos < len(out_u):
             out_u[pos] = last
+            heads_u[pos] = last_head
         pos = in_v.index(e)
         last = in_v.pop()
         if pos < len(in_v):
@@ -124,15 +136,18 @@ class DiGraph:
         n = len(self._out)
         if not (0 <= u < n and 0 <= v < n):
             return None
-        # scan the shorter list: u's out-entries for head v, or v's in-entries for tail u
-        lst, ends, other = self._out[u], self._head, v
-        if len(self._in[v]) < len(lst):
-            lst, ends, other = self._in[v], self._tail, u
-        best = -1
-        for e in lst:
-            if ends[e] == other and e > best:
-                best = e
-        return best if best >= 0 else None
+        heads_u = self._out_heads[u]
+        k = heads_u.count(v)
+        if not k:
+            return None
+        out_u = self._out[u]
+        i = heads_u.index(v)
+        best = out_u[i]
+        for _ in range(k - 1):  # parallel edges: the largest id is the newest
+            i = heads_u.index(v, i + 1)
+            if out_u[i] > best:
+                best = out_u[i]
+        return best
 
     def is_live(self, e: int) -> bool:
         try:
@@ -149,6 +164,12 @@ class DiGraph:
     def out_lists(self) -> list[list[int]]:
         """Out-entries of every vertex, indexed by tail; live and read-only."""
         return self._out
+
+    @property
+    def out_heads(self) -> list[list[int]]:
+        """Heads of every vertex's out-entries, in out_lists order; live and
+        read-only."""
+        return self._out_heads
 
     @property
     def in_lists(self) -> list[list[int]]:
@@ -185,3 +206,6 @@ class DiGraph:
                     assert own[e] == x
             # each live edge exactly once, no dead one
             assert sorted(e for lst in lists for e in lst) == live
+        assert len(self._out_heads) == len(self._out)
+        for lst, heads_x in zip(self._out, self._out_heads):
+            assert heads_x == [head[e] for e in lst]

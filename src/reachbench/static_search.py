@@ -2,13 +2,16 @@
 variant invalidated by critical updates, and a lazy variant that keeps a
 suspendable traversal.
 
-Every traversal reads the graph's live out-lists of edge ids in
-incidence-list order, takes each entry's head from `DiGraph.heads`, and
-marks a vertex when an entry first leads to it.  Counting rule: each
-marked vertex, the source included, is one vertex visited, and each
-out-list entry read is one edge scanned; a traversal that stops at a
-target has read its out-lists up to and including the entry that marked
-the target.
+Every traversal reads the graph's live out-head lists, `DiGraph.out_heads`,
+in incidence-list order, and marks a vertex when an entry first leads to
+it.  An out-head entry is the head itself, so the kernels read no edge id
+and no `heads` table: `for w in out_heads[x]` is one specialised list
+iteration per entry.  Mark tables are `[0] * n` lists, whose int
+subscripts CPython 3.11 specialises and bytearray subscripts it does not.
+Counting rule: each marked vertex, the source included, is one vertex
+visited, and each out-list entry read is one edge scanned; a traversal
+that stops at a target has read its out-lists up to and including the
+entry that marked the target.
 
 BFS keeps its frontier as the list of marked vertices in marking order:
 `order[head:]` are the vertices whose out-lists are not yet fully read, and
@@ -19,7 +22,10 @@ reads entries appended, or swapped in by a removal, since it stopped.
 DFS keeps a stack of [vertex, cursor] pairs with the same resume rule.
 
 The oracle in `core.oracle_reach_set` is a separate BFS that shares no
-code with these kernels.
+code with these kernels and reads `out_lists` and `heads`, not
+`out_heads`; so do `_LazySearch.check_invariants` and `_read_entries`.
+An `out_heads` entry that drifted from its edge's head therefore shows as
+a divergence from the oracle, not as agreement with it.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .core import SsrAlgorithm, WorkCounters, oracle_reach_set
 from .graph import DiGraph
 
 
-def _bfs(g: DiGraph, reached: bytearray, order: list[int], head: int, pos: int,
+def _bfs(g: DiGraph, reached: list[int], order: list[int], head: int, pos: int,
          t: int | None, counters: WorkCounters) -> tuple[int, int] | None:
     """Run or resume a BFS over g whose frontier is `order[head:]`, with
     `pos` entries of `order[head]`'s out-list already read.
@@ -41,23 +47,20 @@ def _bfs(g: DiGraph, reached: bytearray, order: list[int], head: int, pos: int,
     """
     if t is None:
         t = -1  # an int compares with an int faster than with None
-    out, ends = g.out_lists, g.heads  # not `heads`: `head` is the cursor
+    out = g.out_heads
     marked = len(order)
     scans = -pos
     for x in islice(order, head, None) if head else order:
         lst = out[x]
         scans += len(lst)
-        for e in islice(lst, pos, None) if pos else lst:
-            w = ends[e]
+        for w in islice(lst, pos, None) if pos else lst:
             if not reached[w]:
                 reached[w] = 1
                 order.append(w)
                 if w == t:
                     # t was unmarked until this entry, so its first entry
                     # at or after pos is the one just read
-                    while ends[lst[pos]] != t:
-                        pos += 1
-                    pos += 1
+                    pos = lst.index(t, pos) + 1
                     counters.vertices_visited += len(order) - marked
                     counters.edges_scanned += scans - (len(lst) - pos)
                     return order.index(x, head), pos
@@ -67,14 +70,14 @@ def _bfs(g: DiGraph, reached: bytearray, order: list[int], head: int, pos: int,
     return None
 
 
-def _dfs(g: DiGraph, reached: bytearray, stack: list[list[int]],
+def _dfs(g: DiGraph, reached: list[int], stack: list[list[int]],
          t: int | None, counters: WorkCounters) -> bool:
     """Run or resume a DFS over g whose frontier is `stack`, a list of
     [vertex, next out-list index] cursors.  Returns True once `t` is marked
     (the stack left suspended), False once the stack is empty."""
     if t is None:
         t = -1  # as in _bfs
-    out, ends = g.out_lists, g.heads
+    out = g.out_heads
     visits = 0
     scans = 0
     found = False
@@ -84,7 +87,7 @@ def _dfs(g: DiGraph, reached: bytearray, stack: list[list[int]],
         i = start = cur[1]
         sz = len(lst)
         while i < sz:
-            w = ends[lst[i]]
+            w = lst[i]
             i += 1
             if not reached[w]:
                 break
@@ -105,11 +108,11 @@ def _dfs(g: DiGraph, reached: bytearray, stack: list[list[int]],
     return found
 
 
-def _fresh_bfs(alg: SsrAlgorithm, reached: bytearray, t: int | None) -> None:
+def _fresh_bfs(alg: SsrAlgorithm, reached: list[int], t: int | None) -> None:
     _bfs(alg.graph, reached, [alg.source], 0, 0, t, alg.counters)
 
 
-def _fresh_dfs(alg: SsrAlgorithm, reached: bytearray, t: int | None) -> None:
+def _fresh_dfs(alg: SsrAlgorithm, reached: list[int], t: int | None) -> None:
     _dfs(alg.graph, reached, [[alg.source, 0]], t, alg.counters)
 
 
@@ -118,7 +121,7 @@ class _StaticSearch(SsrAlgorithm):
     the source, stopping early once the target is marked."""
 
     def query(self, t: int) -> bool:
-        reached = bytearray(self.graph.vertex_count)
+        reached = [0] * self.graph.vertex_count
         reached[self.source] = 1
         self.counters.vertices_visited += 1
         if reached[t]:
@@ -182,7 +185,7 @@ class _CachedSearch(_FlaggedSearch):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.cache = bytearray(self.graph.vertex_count)
+        self.cache = [0] * self.graph.vertex_count
         self.cache[self.source] = 1
         self.counters.vertices_visited += 1
         self._traverse(self.cache, None)
@@ -235,7 +238,7 @@ class _LazySearch(_FlaggedSearch):
         self._run_until(None)
 
     def _restart(self) -> None:
-        self.cache = bytearray(self.graph.vertex_count)
+        self.cache = [0] * self.graph.vertex_count
         self.cache[self.source] = 1
         self.counters.vertices_visited += 1
         self.exhausted = False

@@ -282,8 +282,8 @@ def test_a_record_is_a_plain_tuple_of_its_fields():
 def test_no_collector_tracked_object_per_operation_beyond_its_record():
     """A replay of N operations keeps N + 1 records, and the engine adds no
     other container per operation: a no-op algorithm's replay adds at most
-    N + 1 collector-tracked objects beyond the graph's 2n lists and a few
-    fixed ones."""
+    N + 1 collector-tracked objects beyond the graph's 3n per-vertex lists
+    and a few fixed ones."""
     class Nop(SsrAlgorithm):
         def query(self, t: int) -> bool:
             return t == self.source
@@ -304,7 +304,7 @@ def test_no_collector_tracked_object_per_operation_beyond_its_record():
     finally:
         gc.enable()
     assert len(res.records) == len(ops) + 1
-    assert after - before <= len(ops) + 1 + 2 * n + 20
+    assert after - before <= len(ops) + 1 + 3 * n + 20
 
 
 def test_strict_replay_rejects_unmatched_removal():

@@ -149,6 +149,18 @@ def test_swap_removal_moves_last_entry_into_hole():
     g.check_invariants()
 
 
+def test_out_heads_follow_out_lists_through_swap_removal():
+    g = DiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (0, 2)])
+    assert g.out_heads[0] == [1, 2, 3, 2]
+    assert g.pop_edge(0, 1) == 0
+    assert g.out_lists[0] == [3, 1, 2]
+    assert g.out_heads[0] == [2, 2, 3]
+    assert g.find_edge(0, 2) == 3  # the newer of the two, now in slot 0
+    g.add_edge(0, 1)
+    assert g.out_heads[0] == [2, 2, 3, 1]
+    g.check_invariants()
+
+
 def _plant_dead_id(g, dead):
     g._out[1].append(dead)
 
@@ -161,8 +173,14 @@ def _plant_live_count(g, dead):
     g._live += 1
 
 
-@pytest.mark.parametrize("corrupt", [_plant_dead_id, _plant_wrong_head, _plant_live_count],
-                         ids=["dead-id-listed", "endpoint-disagrees", "live-count-off"])
+def _plant_head_table_drift(g, dead):
+    g._out_heads[0][0] = 0
+
+
+@pytest.mark.parametrize("corrupt", [_plant_dead_id, _plant_wrong_head, _plant_live_count,
+                                     _plant_head_table_drift],
+                         ids=["dead-id-listed", "endpoint-disagrees", "live-count-off",
+                              "head-table-drifts"])
 def test_check_invariants_catches_corruption(corrupt):
     g = DiGraph(2)
     g.add_edge(0, 1)
@@ -200,8 +218,8 @@ def test_from_edges_equals_add_edge_loop(n, edges):
 
 def test_no_collector_tracked_object_per_edge():
     """Incidence entries are bare ints, which the collector does not track:
-    a bulk build adds the 2n incidence lists and a few containers, and
-    add_edge adds nothing."""
+    a bulk build adds the 3n per-vertex lists (out-ids, out-heads, in-ids)
+    and a few containers, and add_edge adds nothing."""
     n, m = 200, 3000
     edges = [(i % n, (7 * i + 3) % n) for i in range(m)]
     gc.disable()
@@ -214,7 +232,7 @@ def test_no_collector_tracked_object_per_edge():
         after = len(gc.get_objects())
     finally:
         gc.enable()
-    assert built - before <= 2 * n + 10
+    assert built - before <= 3 * n + 10
     assert after == built
 
 

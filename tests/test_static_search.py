@@ -1,9 +1,21 @@
 """Static, cached, and lazy traversal variants."""
 
 import pytest
-from support import apply_add, apply_remove, delta, make_algorithm
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from support import apply_add, apply_remove, delta, lenient_scripts, make_algorithm
 
-from reachbench.core import iterate_replay, verify_against_oracle
+from reachbench.core import (
+    ADD,
+    QUERY,
+    REMOVE,
+    Divergence,
+    Operation,
+    OperationSequence,
+    iterate_replay,
+    oracle_reach_set,
+    verify_against_oracle,
+)
 from reachbench.generators import ErSpec, gen_er_instance, shuffle_sequence
 from reachbench.static_search import (
     CachingBfs,
@@ -15,6 +27,7 @@ from reachbench.static_search import (
 )
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
+ALL_VARIANTS = [StaticBfs, StaticDfs, CachingBfs, CachingDfs, LazyBfs, LazyDfs]
 
 
 @pytest.mark.parametrize("cls", [StaticBfs, StaticDfs])
@@ -222,8 +235,7 @@ def test_invariants_hold_after_every_step(cls):
                 alg.check_invariants()
 
 
-@pytest.mark.parametrize("cls", [StaticBfs, StaticDfs, CachingBfs, CachingDfs,
-                                 LazyBfs, LazyDfs])
+@pytest.mark.parametrize("cls", ALL_VARIANTS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 11])
 def test_variants_agree_with_oracle(cls, seed):
     seq = gen_er_instance(ErSpec(n=32, d=2.0, sigma=120, seed=seed))
@@ -303,3 +315,71 @@ def test_lazy_stop_at_a_target_with_parallel_edges_and_self_loops():
     assert not alg.query(4)
     assert delta(c, before) == (0, 0, 0, 0)
     assert alg.exhausted
+
+
+def test_a_drifted_out_heads_entry_shows_as_a_wrong_answer():
+    """The oracle reads out_lists and heads, not the out_heads table the
+    kernels read, so an out_heads entry that drifts from its edge's head
+    is reported, not agreed with."""
+    seq = OperationSequence(3, 0, [(0, 1)])
+
+    def drifted(g, source, counters):
+        g.out_heads[0][0] = 2  # planted: edge (0, 1) now reads as (0, 2)
+        return CachingBfs(g, source, counters)
+
+    assert verify_against_oracle(seq, CachingBfs) is None
+    assert verify_against_oracle(seq, drifted) == Divergence(-1, 1, False, True)
+
+
+# ---- op scripts ----
+
+
+@st.composite
+def queried_scripts(draw) -> OperationSequence:
+    """A lenient op script with 0..3 queries before its first update and
+    after each one, so lazy traversals stop, meet updates while suspended,
+    and resume."""
+    seq = draw(lenient_scripts())
+    queries = st.lists(st.integers(0, seq.n - 1).map(lambda t: Operation(QUERY, t)),
+                       max_size=3)
+    ops = draw(queries)
+    for op in seq.ops:
+        ops += [op, *draw(queries)]
+    return OperationSequence(seq.n, seq.source, seq.initial_edges, ops, lenient=True)
+
+
+def _script(n, initial, ops):
+    return OperationSequence(n, 0, initial, [Operation(*op) for op in ops], lenient=True)
+
+
+_LAZY_SCRIPTS = [
+    # lbfs stops at 1 in the source's list; the parallel (0, 1) appended to
+    # that list is not critical, and the resumes read it
+    _script(5, [(0, 1), (0, 2), (0, 3), (3, 4)],
+            [(REMOVE, 3, 4), (QUERY, 1), (ADD, 0, 1), (QUERY, 3), (QUERY, 4), (QUERY, 2)]),
+    # lbfs stops at 1; removing the unmarked (0, 3) swaps (0, 4) into the
+    # unread part of the suspended list, and the resume must reach 4
+    _script(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)],
+            [(REMOVE, 1, 5), (QUERY, 1), (REMOVE, 0, 3), (QUERY, 4), (QUERY, 3), (QUERY, 2)]),
+    # the stop at 2 lands on the first of two parallel (0, 2) entries, past
+    # a self-loop; the resume reads the second one
+    _script(5, [(0, 0), (0, 1), (0, 2), (0, 0), (0, 2), (0, 3), (1, 4)],
+            [(REMOVE, 1, 4), (QUERY, 2), (QUERY, 3), (REMOVE, 0, 2), (QUERY, 4), (QUERY, 2)]),
+]
+
+
+@pytest.mark.parametrize("cls", ALL_VARIANTS)
+@given(seq=queried_scripts())
+@example(seq=_LAZY_SCRIPTS[0])
+@example(seq=_LAZY_SCRIPTS[1])
+@example(seq=_LAZY_SCRIPTS[2])
+@settings(max_examples=200, deadline=None)
+def test_op_scripts_keep_invariants_and_answers(cls, seq):
+    """Every step of a lenient op script keeps the variant's invariants,
+    and every query answer matches the oracle."""
+    checked = hasattr(cls, "check_invariants")  # the cached and lazy variants
+    for _, op, g, alg, ans in iterate_replay(seq, cls):
+        if checked:
+            alg.check_invariants()
+        if ans is not None:
+            assert ans == bool(oracle_reach_set(g, seq.source)[op.u])
