@@ -98,20 +98,6 @@ def algorithm_registry(spec: str) -> AlgorithmFactory:
     raise AlgorithmSpecError(f"unknown algorithm spec {spec!r}; valid forms: {_FORMS}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    instance: str | Path
-    algorithm: str
-    runs: int = 3
-    timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.timeout is not None and not self.timeout >= 0:
-            raise ValueError(f"timeout must be >= 0 seconds, got {self.timeout}")
-
-
 class RunAggregate(NamedTuple):
     """Totals of a single replay, before the across-runs median."""
 
@@ -171,29 +157,35 @@ def median_aggregate(samples: list[RunAggregate]) -> RunAggregate:
     return RunAggregate(*map(statistics.median, columns), any(timed_out))
 
 
-def run_benchmark(cfg: RunConfig, sequence: OperationSequence) -> AggregateRow:
-    """Replay the sequence `runs` times on fresh algorithm instances and
-    report per-aggregate medians.  A run that exceeds the timeout stops
-    early and flags the row instead of raising.
+def run_benchmark(sequence: OperationSequence, algorithm: str, instance: str | Path,
+                  runs: int = 3, timeout: float | None = None) -> AggregateRow:
+    """Replay the sequence `runs` times on fresh instances of the
+    `algorithm` config and report per-aggregate medians in a row labelled
+    `instance`.  A run that exceeds the timeout (seconds) stops early and
+    flags the row instead of raising.
 
     The collector is paused while the runs replay, so no collection lands
     on a timed routine; it collects what the previous run left before each
     run instead, and is back in its prior state however the runs end."""
-    factory = algorithm_registry(cfg.algorithm)
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if timeout is not None and not timeout >= 0:
+        raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
+    factory = algorithm_registry(algorithm)
     samples = []
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(cfg.runs):
+        for _ in range(runs):
             gc.collect()
-            samples.append(aggregate_replay(replay(sequence, factory, timeout=cfg.timeout)))
+            samples.append(aggregate_replay(replay(sequence, factory, timeout=timeout)))
     finally:
         if enabled:
             gc.enable()
     med = median_aggregate(samples)
     return AggregateRow(
-        instance=str(cfg.instance),
-        algorithm=cfg.algorithm,
+        instance=str(instance),
+        algorithm=algorithm,
         n=sequence.n,
         d_avg=med.live_edge_mean / sequence.n,
         sigma=len(sequence.ops),

@@ -7,8 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (CANONICAL_SPECS, RunConfig, algorithm_registry, render_csv,
-                    run_benchmark)
+from .bench import CANONICAL_SPECS, algorithm_registry, render_csv, run_benchmark
 from .core import ReplayError, load_sequence, save_sequence, verify_against_oracle
 from .generators import (ErSpec, KroneckerSpec, gen_er_instance,
                          gen_kronecker_instance, inject_queries, shuffle_sequence)
@@ -207,8 +206,7 @@ def _cmd_run(args) -> int:
                       f"vertex {div.vertex} got {div.got}, oracle says {div.want}",
                       file=sys.stderr)
                 return 2
-        cfg = RunConfig(args.instance, spec, args.runs, args.timeout)
-        rows.append(run_benchmark(cfg, seq))
+        rows.append(run_benchmark(seq, spec, args.instance, args.runs, args.timeout))
     if args.output:
         Path(args.output).write_text(render_csv(rows), encoding="ascii")
     else:

@@ -98,7 +98,11 @@ class DiGraph:
         return e
 
     def remove_edge(self, e: int) -> tuple[int, int]:
-        """Remove a live edge, returning its (tail, head)."""
+        """Remove a live edge, returning its (tail, head).  The replay
+        engine removes through pop_edge; this is for callers that hold an
+        id: the benchmark's oracle gate and graph-apply timing
+        (`benchmarks/workloads.py` `oracle_gate`, `graph_apply_ns`) and
+        the tests."""
         u, v = self.endpoints(e)
         self._unlink(e, u, v)
         return (u, v)
@@ -187,10 +191,6 @@ class DiGraph:
         """Tail of every edge id ever issued, -1 for a dead edge; live and
         read-only."""
         return self._tail
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All live edges as (edge_id, tail, head), in id order."""
-        return [(e, u, self._head[e]) for e, u in enumerate(self._tail) if u >= 0]
 
     # ---- debug ----
 

@@ -1,6 +1,9 @@
-"""Dynamized static searches: pure per-query traversals, a fully cached
-variant invalidated by critical updates, and a lazy variant that keeps a
-suspendable traversal.
+"""Dynamized static searches: pure per-query traversals, a lazy variant
+that keeps a suspendable traversal and a reachability cache invalidated by
+critical updates, and a cached variant that is the lazy one run to the end
+at every (re)start.  The cached and lazy variants share one set of flags,
+one query path and one `check_invariants`, which checks the read entries of
+the cached variant's (always finished) traversal too.
 
 Every traversal reads the graph's live out-head lists, `DiGraph.out_heads`,
 in incidence-list order, and marks a vertex when an entry first leads to
@@ -138,91 +141,19 @@ class StaticDfs(_StaticSearch):
     _traverse = _fresh_dfs
 
 
-class _FlaggedSearch(SsrAlgorithm):
-    """Shared critical-update flags over a reachability cache: an insertion
-    is critical when it links a cached-reachable tail to a cached-unreachable
-    head, a deletion when its head is cached-reachable."""
+class _LazySearch(SsrAlgorithm):
+    """Partial cache fed by a suspendable traversal, invalidated by
+    critical updates.
 
-    def initialize(self) -> None:
-        self.crit_ins = False
-        self.crit_del = False
-
-    def edge_inserted(self, u: int, v: int, e: int) -> None:
-        if self.cache[u] and not self.cache[v]:
-            self.crit_ins = True
-
-    def edge_deleted(self, u: int, v: int, e: int) -> None:
-        if self.cache[v]:
-            self.crit_del = True
-
-    def check_invariants(self) -> None:
-        """Full-scan consistency check against the oracle; raises
-        AssertionError on a violation.  With no critical deletion pending
-        every cached vertex is reachable, so a cached reachable answer
-        holds; with no critical insertion pending and the cache complete
-        every reachable vertex is cached, so a cached unreachable answer
-        holds."""
-        reach = oracle_reach_set(self.graph, self.source)
-        assert len(self.cache) == len(reach)
-        assert self.cache[self.source]
-        if not self.crit_del:
-            assert all(reach[v] for v, c in enumerate(self.cache) if c)
-        if not self.crit_ins and self._complete():
-            assert all(self.cache[v] for v, r in enumerate(reach) if r)
-
-
-class _CachedSearch(_FlaggedSearch):
-    """Eagerly cached reachability; updates only raise critical flags.
-
-    A query whose cached answer may be stale (critical insertion with a
-    cached-unreachable target, or critical deletion with a cached-reachable
-    one) rebuilds the entire cache and clears both flags; every other query
-    is answered from the cache in O(1).
-    """
-
-    def initialize(self) -> None:
-        super().initialize()
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self.cache = [0] * self.graph.vertex_count
-        self.cache[self.source] = 1
-        self.counters.vertices_visited += 1
-        self._traverse(self.cache, None)
-
-    def query(self, t: int) -> bool:
-        cached = self.cache[t]
-        if (self.crit_ins and not cached) or (self.crit_del and cached):
-            self.crit_ins = False
-            self.crit_del = False
-            self.counters.recomputations += 1
-            self._rebuild()
-            return bool(self.cache[t])
-        return bool(cached)
-
-    def _complete(self) -> bool:
-        return True
-
-
-class CachingBfs(_CachedSearch):
-    _traverse = _fresh_bfs
-
-
-class CachingDfs(_CachedSearch):
-    _traverse = _fresh_dfs
-
-
-class _LazySearch(_FlaggedSearch):
-    """Partial cache fed by a suspendable traversal.
-
-    Critical flags follow the caching variant but are evaluated against the
-    possibly partial cache (an unvisited vertex counts as unreachable).  A
-    query returns a cached reachable answer while no critical deletion has
-    been seen, and a cached unreachable answer from an exhausted traversal
-    while no critical insertion has been seen.  The suspended traversal is
-    resumed only while neither flag is set: a critical deletion can sever
-    the region the frontier sits in, so resuming after one could claim dead
-    vertices (see the lazy-resume note in the project notes).  All remaining
+    An insertion is critical when it links a cached-reachable tail to a
+    cached-unreachable head, a deletion when its head is cached-reachable;
+    an unvisited vertex counts as unreachable.  A query returns a cached
+    reachable answer while no critical deletion has been seen, and a cached
+    unreachable answer from an exhausted traversal while no critical
+    insertion has been seen.  The suspended traversal is resumed only while
+    neither flag is set: a critical deletion can sever the region the
+    frontier sits in, so resuming after one could claim dead vertices (see
+    `test_lazy_never_resumes_after_a_critical_deletion`).  All remaining
     cases invalidate the cache, clear both flags, and start the traversal
     anew, running it just far enough to classify the target.
 
@@ -233,18 +164,24 @@ class _LazySearch(_FlaggedSearch):
     """
 
     def initialize(self) -> None:
-        super().initialize()
+        self.crit_ins = False
+        self.crit_del = False
         self._restart()
         self._run_until(None)
+
+    def edge_inserted(self, u: int, v: int, e: int) -> None:
+        if self.cache[u] and not self.cache[v]:
+            self.crit_ins = True
+
+    def edge_deleted(self, u: int, v: int, e: int) -> None:
+        if self.cache[v]:
+            self.crit_del = True
 
     def _restart(self) -> None:
         self.cache = [0] * self.graph.vertex_count
         self.cache[self.source] = 1
         self.counters.vertices_visited += 1
         self.exhausted = False
-
-    def _complete(self) -> bool:
-        return self.exhausted
 
     def query(self, t: int) -> bool:
         cached = self.cache[t]
@@ -266,17 +203,27 @@ class _LazySearch(_FlaggedSearch):
         return bool(self.cache[t])
 
     def check_invariants(self) -> None:
-        """Also, over the out-list entries the traversal has read: with no
-        critical deletion pending each marked vertex but the source is led
-        to by one, and with no critical update pending each leads to a
-        marked vertex: the marked vertices are then exactly the
+        """Full-scan consistency check against the oracle; raises
+        AssertionError on a violation.  With no critical deletion pending
+        every cached vertex is reachable, so a cached reachable answer
+        holds; with no critical insertion pending and the traversal
+        exhausted every reachable vertex is cached, so a cached unreachable
+        answer holds.  Also, over the out-list entries the traversal has
+        read: with no critical deletion pending each marked vertex but the
+        source is led to by one, and with no critical update pending each
+        leads to a marked vertex: the marked vertices are then exactly the
         traversal's.
         (A critical deletion may swap an unread entry into the read part of
         a list; a critical insertion may append an entry that leads to an
         unmarked vertex to a list already read.)"""
-        super().check_invariants()
+        reach = oracle_reach_set(self.graph, self.source)
+        assert len(self.cache) == len(reach)
+        assert self.cache[self.source]
+        if not self.crit_ins and self.exhausted:
+            assert all(self.cache[v] for v, r in enumerate(reach) if r)
         if self.crit_del:
             return
+        assert all(reach[v] for v, c in enumerate(self.cache) if c)
         out, heads = self.graph.out_lists, self.graph.heads
         marked = {v for v, c in enumerate(self.cache) if c}
         led_to = {heads[e] for x, end in self._read_entries() for e in out[x][:end]}
@@ -354,3 +301,23 @@ class LazyDfs(_LazySearch):
             assert self.cache[v]
             assert i >= 0
             assert self.crit_del or i <= len(out[v])
+
+
+class CachingBfs(LazyBfs):
+    """LazyBfs whose every (re)start runs the traversal to its end, so the
+    cache is always complete and a query that does not restart is answered
+    in O(1).  The run belongs in `_restart`, not `_run_until`: a query
+    whose target the restart marks (the source) returns before
+    `_run_until`, and the whole rebuild must land in that query's record."""
+
+    def _restart(self) -> None:
+        super()._restart()
+        self._run_until(None)
+
+
+class CachingDfs(LazyDfs):
+    """LazyDfs run to the end at every (re)start, as CachingBfs."""
+
+    def _restart(self) -> None:
+        super()._restart()
+        self._run_until(None)

@@ -13,6 +13,11 @@ def build_graph(n: int, edges=()) -> DiGraph:
     return g
 
 
+def live_edges(g: DiGraph) -> list[tuple[int, int, int]]:
+    """All live edges of g as (edge_id, tail, head), in id order."""
+    return [(e, u, v) for e, (u, v) in enumerate(zip(g.tails, g.heads)) if u >= 0]
+
+
 def make_algorithm(factory, n: int, source: int, edges=()):
     """Build a graph, initialize one algorithm on it, return (g, alg, counters)."""
     g = build_graph(n, edges)

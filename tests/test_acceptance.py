@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from reachbench.bench import CANONICAL_SPECS, RunConfig, algorithm_registry, render_csv, run_benchmark
+from reachbench.bench import CANONICAL_SPECS, algorithm_registry, render_csv, run_benchmark
 from reachbench.core import (
     ADD,
     QUERY,
@@ -284,10 +284,9 @@ def test_criterion_8_determinism(tmp_path):
                     for _ in range(2)]
 
     seq = gen_er_instance(er)
-    cfg = RunConfig(instance="mem", algorithm="es:5:.5", runs=2)
     csv_twice = []
     for _ in range(2):
-        row = run_benchmark(cfg, sequence=seq)
+        row = run_benchmark(seq, "es:5:.5", "mem", runs=2)
         cells = render_csv([row]).splitlines()[1].split(",")
         csv_twice.append([cells[i] for i in (2, 3, 4, 10, 11, 12, 13, 14)])
 

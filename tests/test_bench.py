@@ -13,7 +13,6 @@ from reachbench.bench import (
     AggregateRow,
     AlgorithmSpecError,
     RunAggregate,
-    RunConfig,
     algorithm_registry,
     median_aggregate,
     render_csv,
@@ -99,18 +98,20 @@ def test_timed_out_is_sticky_across_runs():
 
 
 def test_run_config_validation():
+    seq = OperationSequence(n=1, source=0)
     with pytest.raises(ValueError):
-        RunConfig(instance="x", algorithm="sbfs", runs=0)
+        run_benchmark(seq, "sbfs", "x", runs=0)
     with pytest.raises(ValueError):
-        RunConfig(instance="x", algorithm="sbfs", timeout=-1.0)
+        run_benchmark(seq, "sbfs", "x", timeout=-1.0)
+    with pytest.raises(ValueError):
+        run_benchmark(seq, "sbfs", "x", timeout=float("nan"))
 
 
 def test_run_benchmark_single_run(tmp_path):
     seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
     path = tmp_path / "inst.txt"
     save_sequence(seq, path)
-    row = run_benchmark(RunConfig(instance=path, algorithm="ses:5:.5", runs=1),
-                        load_sequence(path))
+    row = run_benchmark(load_sequence(path), "ses:5:.5", path, runs=1)
     assert row.n == 25
     assert row.sigma == 90
     assert row.algorithm == "ses:5:.5"
@@ -121,9 +122,8 @@ def test_run_benchmark_single_run(tmp_path):
 
 def test_run_benchmark_counters_are_reproducible():
     seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
-    cfg = RunConfig(instance="mem", algorithm="mes:5:.5", runs=3)
-    a = run_benchmark(cfg, sequence=seq)
-    b = run_benchmark(cfg, sequence=seq)
+    a = run_benchmark(seq, "mes:5:.5", "mem", runs=3)
+    b = run_benchmark(seq, "mes:5:.5", "mem", runs=3)
     keys = ("n", "d_avg", "sigma", "vertices_visited", "edges_scanned",
             "queue_pops", "recomputations", "timed_out")
     assert [getattr(a, k) for k in keys] == [getattr(b, k) for k in keys]
@@ -141,12 +141,12 @@ def test_run_benchmark_pauses_the_collector_around_each_replay(monkeypatch):
 
     monkeypatch.setattr(bench, "replay", spy)
     seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
-    run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=2), seq)
+    run_benchmark(seq, "sbfs", "mem", runs=2)
     assert seen == [False, False]
     assert gc.isenabled()
     gc.disable()
     try:
-        run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=1), seq)
+        run_benchmark(seq, "sbfs", "mem", runs=1)
         assert not gc.isenabled()  # a paused collector stays paused
     finally:
         gc.enable()
@@ -155,10 +155,10 @@ def test_run_benchmark_pauses_the_collector_around_each_replay(monkeypatch):
 def test_run_benchmark_restores_the_collector_after_a_replay_error_or_timeout():
     broken = OperationSequence(n=2, source=0, ops=[Operation(REMOVE, 0, 1)])
     with pytest.raises(ReplayError):
-        run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=1), broken)
+        run_benchmark(broken, "sbfs", "mem", runs=1)
     assert gc.isenabled()
     seq = gen_er_instance(ErSpec(n=25, d=1.2, sigma=90, seed=4))
-    row = run_benchmark(RunConfig(instance="mem", algorithm="sbfs", runs=2, timeout=0), seq)
+    row = run_benchmark(seq, "sbfs", "mem", runs=2, timeout=0)
     assert row.timed_out
     assert gc.isenabled()
 
@@ -188,8 +188,7 @@ def test_csv_formatting():
 
 def test_csv_emission_is_byte_identical(tmp_path):
     seq = gen_er_instance(ErSpec(n=20, d=1.0, sigma=60, seed=8))
-    row = run_benchmark(RunConfig(instance="m", algorithm="cbfs", runs=1),
-                        sequence=seq)
+    row = run_benchmark(seq, "cbfs", "m", runs=1)
     scrubbed = dataclasses.replace(row, init_us=0.0, ins_us=0.0, del_us=0.0,
                                    upd_us=0.0, qry_us=0.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -40,6 +40,7 @@ from reachbench.generators import (
     shuffle_sequence,
 )
 from reachbench.graph import DiGraph
+from reachbench.static_search import LazyBfs, LazyDfs
 
 
 def test_operation_constructors():
@@ -412,7 +413,7 @@ ABORT_FINGERPRINT = "519bb53fa87064a0f4897864a9c90b829b93dd1045df39bb066e2e5fcc2
 
 #: The six static searches on a growing Kronecker stream with a query per
 #: update, where cache rebuilds, lazy stops and resumes are dense, with each
-#: step's lazy `exhausted` flag hashed too.
+#: step's lazy `exhausted` flag hashed too (None for the other four).
 STATIC_SPECS = ("sbfs", "sdfs", "cbfs", "cdfs", "lbfs", "ldfs")
 QUERY_FINGERPRINT = "30f3094141b69e0e7fd0def3067009cac1e41d9a7a242bddb5c5fb55aa25653d"
 
@@ -428,6 +429,11 @@ REBUILD_FINGERPRINT = "ecf88289438e1efad09339443a3b8427c55da7b8d95966d037db95dc4
 #: ldfs's [vertex, cursor] stack.
 LAZY_SPECS = ("lbfs", "ldfs")
 LAZY_CURSOR_FINGERPRINT = "3ca79b33f6f1ddaf7d38b7a3757ae27cc1178f61099ad1ad3f54dd4a8f1dfcb2"
+
+
+def _lazy_exhausted(alg):
+    # cbfs/cdfs are LazyBfs/LazyDfs subclasses whose flag is always True
+    return alg.exhausted if type(alg) in (LazyBfs, LazyDfs) else None
 
 
 def _tree_state(alg):
@@ -446,8 +452,7 @@ def _lazy_cursor(alg):
     pytest.param(_er_instance, CANONICAL_SPECS, None, REPLAY_FINGERPRINT, id="canonical"),
     pytest.param(_er_instance, ABORT_SPECS, lambda alg: alg.last_deletion_stats,
                  ABORT_FINGERPRINT, id="abort-heavy"),
-    pytest.param(_kron_query_instance, STATIC_SPECS,
-                 lambda alg: getattr(alg, "exhausted", None), QUERY_FINGERPRINT,
+    pytest.param(_kron_query_instance, STATIC_SPECS, _lazy_exhausted, QUERY_FINGERPRINT,
                  id="query-heavy"),
     pytest.param(_er_instance, REBUILD_SPECS, _tree_state, REBUILD_FINGERPRINT,
                  id="rebuild-heavy"),

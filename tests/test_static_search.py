@@ -152,6 +152,21 @@ def test_cached_unreachable_answer_stays_valid_under_deletion():
     assert c.recomputations == 1
 
 
+@pytest.mark.parametrize("cls", [CachingBfs, CachingDfs])
+def test_cached_source_query_after_a_critical_deletion_pays_the_whole_rebuild(cls):
+    """The source is cached-reachable, so after a critical deletion its
+    query rebuilds, and that query's record holds the whole rebuild: the
+    traversal runs to its end before the query returns."""
+    g, alg, c = make_algorithm(cls, 4, 0, [(0, 1), (1, 2), (2, 3)])
+    apply_remove(g, alg, 2, 3)
+    before = c.snapshot()
+    assert alg.query(0)
+    assert delta(c, before) == (3, 2, 0, 1)
+    before = c.snapshot()
+    assert not alg.query(3)
+    assert delta(c, before) == (0, 0, 0, 0)
+
+
 # ---- lazy ----
 
 
