@@ -9,6 +9,7 @@ import io
 import math
 import statistics
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,19 +20,25 @@ from .reach_tree import IncrementalReachTree
 from .static_search import (CachingBfs, CachingDfs, LazyBfs, LazyDfs,
                             StaticBfs, StaticDfs)
 
-_STATIC = {
-    "sbfs": StaticBfs,
-    "sdfs": StaticDfs,
-    "cbfs": CachingBfs,
-    "cdfs": CachingDfs,
-    "lbfs": LazyBfs,
-    "ldfs": LazyDfs,
-}
+#: A parameter: its constructor keyword and the converter that parses its
+#: token.  Converters only parse; each constructor checks its own values.
+_BETA = ("beta", lambda token: math.inf if token == "inf" else int(token))
+_RATIO = ("ratio", float)
 
-_ES_FAMILY = {
-    "es": EvenShiloachTree,
-    "mes": MultiLevelEsTree,
-    "ses": SimplifiedEsTree,
+#: Config-string head -> (class, its parameters in token order).
+_FAMILIES = {
+    "sbfs": (StaticBfs, ()),
+    "sdfs": (StaticDfs, ()),
+    "cbfs": (CachingBfs, ()),
+    "cdfs": (CachingDfs, ()),
+    "lbfs": (LazyBfs, ()),
+    "ldfs": (LazyDfs, ()),
+    "si": (IncrementalReachTree, (("reverse_order", {"r": True, "nr": False}.__getitem__),
+                                  ("forward_search", {"sf": True, "nsf": False}.__getitem__),
+                                  _RATIO)),
+    "es": (EvenShiloachTree, (_BETA, _RATIO)),
+    "mes": (MultiLevelEsTree, (_BETA, _RATIO)),
+    "ses": (SimplifiedEsTree, (_BETA, _RATIO)),
 }
 
 #: The configurations every cross-checking test sweeps: the six dynamized
@@ -51,51 +58,29 @@ class AlgorithmSpecError(ValueError):
     pass
 
 
-def _parse_float(token: str, spec: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise AlgorithmSpecError(f"bad number {token!r} in {spec!r}; valid forms: {_FORMS}") from None
-
-
 def algorithm_registry(spec: str) -> AlgorithmFactory:
-    """Resolve a config string to a factory producing fresh instances."""
-    parts = spec.strip().lower().split(":")
-    head = parts[0]
-    if head in _STATIC:
-        if len(parts) != 1:
-            raise AlgorithmSpecError(f"{head} takes no parameters; valid forms: {_FORMS}")
-        cls = _STATIC[head]
-        return lambda g, s, c: cls(g, s, c)
-    if head == "si":
-        if len(parts) != 4 or parts[1] not in ("r", "nr") or parts[2] not in ("sf", "nsf"):
-            raise AlgorithmSpecError(f"bad spec {spec!r}; valid forms: {_FORMS}")
-        reverse = parts[1] == "r"
-        forward = parts[2] == "sf"
-        ratio = _parse_float(parts[3], spec)
-        if not 0.0 <= ratio <= 1.0:
-            raise AlgorithmSpecError(f"ratio must be in [0, 1] in {spec!r}")
-        return lambda g, s, c: IncrementalReachTree(
-            g, s, c, reverse_order=reverse, forward_search=forward, ratio=ratio)
-    if head in _ES_FAMILY:
-        if len(parts) != 3:
-            raise AlgorithmSpecError(f"bad spec {spec!r}; valid forms: {_FORMS}")
-        if parts[1] == "inf":
-            beta = math.inf
-        else:
-            try:
-                beta = int(parts[1])
-            except ValueError:
-                raise AlgorithmSpecError(
-                    f"beta must be an integer or inf in {spec!r}") from None
-            if beta < 1:
-                raise AlgorithmSpecError(f"beta must be >= 1 in {spec!r}")
-        ratio = math.inf if parts[2] == "inf" else _parse_float(parts[2], spec)
-        if not ratio >= 0:
-            raise AlgorithmSpecError(f"ratio must be >= 0 in {spec!r}")
-        cls = _ES_FAMILY[head]
-        return lambda g, s, c: cls(g, s, c, beta=beta, ratio=ratio)
-    raise AlgorithmSpecError(f"unknown algorithm spec {spec!r}; valid forms: {_FORMS}")
+    """Resolve a config string to a factory producing fresh instances.
+
+    The factory is built once on no graph, `factory(None, 0, None)`, so the
+    constructor's own checks reject a bad value here; this relies on the
+    SsrAlgorithm contract that constructors do not read the graph."""
+    head, *tokens = spec.strip().lower().split(":")
+    cls, params = _FAMILIES.get(head, (None, ()))
+    if cls is None or len(tokens) != len(params):
+        raise AlgorithmSpecError(f"bad spec {spec!r}; valid forms: {_FORMS}")
+    kwargs = {}
+    for (name, convert), token in zip(params, tokens):
+        try:
+            kwargs[name] = convert(token)
+        except (KeyError, ValueError):
+            raise AlgorithmSpecError(
+                f"bad {name} {token!r} in {spec!r}; valid forms: {_FORMS}") from None
+    factory = partial(cls, **kwargs)
+    try:
+        factory(None, 0, None)
+    except ValueError as exc:
+        raise AlgorithmSpecError(f"{exc} in {spec!r}; valid forms: {_FORMS}") from None
+    return factory
 
 
 class RunAggregate(NamedTuple):

@@ -181,8 +181,6 @@ def _cmd_ingest(args) -> int:
             raise UsageError("temporal ingestion takes exactly one --input")
         seq, labels = ingest_temporal(args.input[0])
     else:
-        if len(args.input) < 2:
-            raise UsageError("snapshot ingestion needs at least two --input files")
         seq, labels = ingest_snapshots(args.input, seed=args.seed,
                                        source_rank=args.source_rank)
     if args.shuffle_seed is not None:

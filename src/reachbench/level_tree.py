@@ -154,10 +154,14 @@ class _IndexedEs(_EsBase):
         level[s] = 0
         visits = 1
         scans = 0
-        q = deque([s])
+        order = [s]
         out, heads = g.out_lists, g.heads
-        while q:
-            x = q.popleft()
+        # BFS order, then the unreachable tails in vertex order; the tails
+        # are picked only once order is exhausted, so at their final levels,
+        # and only with out-edges (a Kronecker snapshot leaves most vertices
+        # isolated).  In BFS order lx1 < level[w] holds exactly when w is
+        # still at n; an unreachable tail has lx1 = n + 1, so it never does.
+        for x in chain(order, (x for x in range(n) if level[x] == n and out[x])):
             lx1 = level[x] + 1
             for e in out[x]:
                 scans += 1
@@ -165,19 +169,11 @@ class _IndexedEs(_EsBase):
                 lst = in_list[w]
                 in_pos[e] = len(lst)
                 lst.append(e)
-                if level[w] == n:
+                if lx1 < level[w]:
                     # w's first entry discovers it, so its tree edge is at 0
                     level[w] = lx1
                     visits += 1
-                    q.append(w)
-        # edges out of unreachable tails, in vertex order, after all others
-        for x in range(n):
-            if level[x] == n:
-                for e in out[x]:
-                    scans += 1
-                    lst = in_list[heads[e]]
-                    in_pos[e] = len(lst)
-                    lst.append(e)
+                    order.append(w)
         c.vertices_visited += visits
         c.edges_scanned += scans
 

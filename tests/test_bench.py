@@ -10,6 +10,8 @@ import pytest
 
 from reachbench.bench import (
     CANONICAL_SPECS,
+    _FAMILIES,
+    _FORMS,
     AggregateRow,
     AlgorithmSpecError,
     RunAggregate,
@@ -76,10 +78,32 @@ def test_registry_parses_parameters():
     "es:5:nan",
     "mes:inf:nan",
     "ses:1:NaN",
+    "si:SF:nR:.5",
+    "si:nR:SF:inf",
+    "es:5.0:.5",
+    "ses:5:.5:1",
+    "",
 ])
 def test_registry_rejects_malformed_specs(spec):
     with pytest.raises(AlgorithmSpecError, match="valid forms|must be"):
         algorithm_registry(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("es:0:.5", "beta must be an integer >= 1 or inf"),
+    ("ses:5:nan", "ratio must be >= 0 or inf"),
+])
+def test_registry_reports_the_constructor_message(spec, message):
+    with pytest.raises(AlgorithmSpecError, match="valid forms") as err:
+        algorithm_registry(spec)
+    assert message in str(err.value)
+
+
+def test_every_registered_family_is_documented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Config strings\n\n```\n(.*?)```", readme, re.S)
+    for words in (_FORMS, block):
+        assert set(_FAMILIES) <= set(re.findall(r"\w+", words))
 
 
 def sample(init_ns=0.0, timed_out=False):
@@ -288,6 +312,7 @@ def test_ingest_snapshots_cli(tmp_path, capsys):
     assert main(["ingest", "--format", "snapshots",
                  "--input", str(data / "snap_a.txt"),
                  "--output", str(tmp_path / "y.seq")]) == 1
+    assert "need at least two snapshot files" in capsys.readouterr().err
 
 
 def test_run_writes_csv(er_instance, tmp_path, capsys):
