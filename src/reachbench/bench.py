@@ -7,7 +7,9 @@ import csv
 import gc
 import io
 import math
+import re
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -20,10 +22,25 @@ from .reach_tree import IncrementalReachTree
 from .static_search import (CachingBfs, CachingDfs, LazyBfs, LazyDfs,
                             StaticBfs, StaticDfs)
 
+
+def _plain(pattern: str, convert: Callable[[str], float]) -> Callable[[str], float]:
+    """A converter that takes only tokens matching pattern in full, so each
+    value has one spelling (no sign, space, `_`, exponent or non-ASCII
+    digit that int or float would also take)."""
+    match = re.compile(pattern).fullmatch
+
+    def parse(token: str) -> float:
+        if match(token) is None:
+            raise ValueError(token)
+        return convert(token)
+
+    return parse
+
+
 #: A parameter: its constructor keyword and the converter that parses its
 #: token.  Converters only parse; each constructor checks its own values.
-_BETA = ("beta", lambda token: math.inf if token == "inf" else int(token))
-_RATIO = ("ratio", float)
+_BETA = ("beta", _plain(r"[0-9]+|inf", lambda token: math.inf if token == "inf" else int(token)))
+_RATIO = ("ratio", _plain(r"[0-9]+\.?[0-9]*|\.[0-9]+|inf", float))
 
 #: Config-string head -> (class, its parameters in token order).
 _FAMILIES = {

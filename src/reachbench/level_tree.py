@@ -129,15 +129,18 @@ class _EsBase(SsrAlgorithm):
 
 
 class _IndexedEs(_EsBase):
-    """ES/MES common core: a private in-list of edge ids per vertex, a
-    position map, and per-vertex tree-edge index into its own in-list.
+    """ES/MES common core: a private in-list of edge ids per vertex and a
+    per-vertex tree-edge index into its own in-list.
 
     A rebuild fills the in-lists in its BFS scan order, then appends the
     edges out of unreachable tails in vertex order; insertions append and
     deletions swap-remove.  Entries are bare ids: a tail is read from
-    DiGraph.tails.  in_pos is indexed by edge id, one slot per id ever
-    issued: a rebuild sizes it to the ids issued so far and each insertion
-    appends the next.  A dead id's slot goes stale and is never read.
+    DiGraph.tails.  An edge's position is read from its head's in-list
+    itself: v's tree edge is in_list[v][tei[v]], and a deletion finds the
+    deleted id with a C scan of that one list.  The source has no tree
+    edge: its tei is -1, which as an index reads its last entry, so the
+    tree-child test `in_list[h][tei[h]] == e` is guarded by 0 < level[h],
+    true of every reachable vertex but the source.
     """
 
     def _rebuild(self) -> None:
@@ -147,13 +150,10 @@ class _IndexedEs(_EsBase):
         self._inf = n
         level = self.level = [n] * n
         in_list = self.in_list = [[] for _ in range(n)]
-        in_pos = self.in_pos = [0] * len(g.tails)
         tei = self.tei = [0] * n
         s = self.source
-        tei[s] = -1  # the source has no tree edge; no position may match
+        tei[s] = -1  # the source has no tree edge
         level[s] = 0
-        visits = 1
-        scans = 0
         order = [s]
         out, heads = g.out_lists, g.heads
         # BFS order, then the unreachable tails in vertex order; the tails
@@ -164,18 +164,18 @@ class _IndexedEs(_EsBase):
         for x in chain(order, (x for x in range(n) if level[x] == n and out[x])):
             lx1 = level[x] + 1
             for e in out[x]:
-                scans += 1
                 w = heads[e]
-                lst = in_list[w]
-                in_pos[e] = len(lst)
-                lst.append(e)
+                in_list[w].append(e)
                 if lx1 < level[w]:
                     # w's first entry discovers it, so its tree edge is at 0
                     level[w] = lx1
-                    visits += 1
                     order.append(w)
-        c.vertices_visited += visits
-        c.edges_scanned += scans
+        # Exact totals without a per-item count: every live edge's tail is
+        # either in order or an unreachable vertex with out-edges, so the
+        # scan reads each live edge once, and order holds each vertex it
+        # reached once, the source included.
+        c.vertices_visited += len(order)
+        c.edges_scanned += g.edge_count
 
     def _tree_edge(self, v: int) -> int:
         lst = self.in_list[v]
@@ -184,34 +184,28 @@ class _IndexedEs(_EsBase):
 
     def check_invariants(self) -> None:
         """Also: each vertex's private in-list is a permutation of the ids of
-        its graph in-entries, and in_pos has one slot per id ever issued,
-        holding every live id's position in its list."""
-        in_pos = self.in_pos
-        assert len(in_pos) == len(self.graph.tails)
+        its graph in-entries."""
         for v, ins in enumerate(self.graph.in_lists):
-            lst = self.in_list[v]
-            assert sorted(lst) == sorted(ins), v
-            assert all(in_pos[e] == pos for pos, e in enumerate(lst)), v
+            assert sorted(self.in_list[v]) == sorted(ins), v
         super().check_invariants()
 
     def edge_inserted(self, u: int, v: int, e: int) -> None:
         lst = self.in_list[v]
-        pos = len(lst)
-        self.in_pos.append(pos)  # e is the next id: every insertion notifies
         lst.append(e)
         level = self.level
         lu1 = level[u] + 1
         if lu1 < level[v]:
             level[v] = lu1
-            self.tei[v] = pos
+            self.tei[v] = len(lst) - 1
             self.counters.vertices_visited += 1
             self._sweep(v)
 
     def _sweep(self, v: int) -> None:
         """Cascade an improved level forward.  At equal levels only the
-        tree-edge index can improve (strictly smaller), without cascading."""
+        tree-edge index can improve (strictly smaller), without cascading;
+        e's position is looked up only then or on an improvement."""
         level = self.level
-        in_pos = self.in_pos
+        in_list = self.in_list
         tei = self.tei
         c = self.counters
         visits = 0
@@ -227,26 +221,26 @@ class _IndexedEs(_EsBase):
                 lw = level[w]
                 if lx1 < lw:
                     level[w] = lx1
-                    tei[w] = in_pos[e]
+                    tei[w] = in_list[w].index(e)
                     visits += 1
                     q.append(w)
-                elif lx1 == lw and in_pos[e] < tei[w]:
-                    tei[w] = in_pos[e]
+                elif lx1 == lw and tei[w]:  # nothing precedes position 0
+                    pos = in_list[w].index(e)
+                    if pos < tei[w]:
+                        tei[w] = pos
         c.vertices_visited += visits
         c.edges_scanned += scans
 
     def _detach(self, v: int, e: int) -> bool:
         """Drop e from v's in-list (swap-remove).  True if the repair loop
         must run: e was v's tree edge, or the swap displaced it."""
-        in_pos = self.in_pos
-        pos = in_pos[e]  # e's slot goes stale and is never read again
         lst = self.in_list[v]
+        pos = lst.index(e)
         reachable = self.level[v] < self._inf
         was_tree = reachable and pos == self.tei[v]
         last = lst.pop()
         if last != e:
             lst[pos] = last
-            in_pos[last] = pos
             if reachable:
                 if self.tei[v] == len(lst):
                     self.tei[v] = pos
@@ -269,7 +263,6 @@ class EvenShiloachTree(_IndexedEs):
         n = self._inf
         level = self.level
         in_list = self.in_list
-        in_pos = self.in_pos
         tei = self.tei
         tails, heads = self.graph.tails, self.graph.heads
         out = self.graph.out_lists
@@ -299,7 +292,7 @@ class EvenShiloachTree(_IndexedEs):
             for e in out[w]:
                 scans += 1
                 h = heads[e]
-                if h != w and level[h] < n and in_pos[e] == tei[h]:
+                if h != w and 0 < level[h] < n and in_list[h][tei[h]] == e:
                     c.edges_scanned += scans
                     scans = 0
                     yield h
@@ -320,7 +313,6 @@ class MultiLevelEsTree(_IndexedEs):
         n = self._inf
         level = self.level
         in_list = self.in_list
-        in_pos = self.in_pos
         tei = self.tei
         tails, heads = self.graph.tails, self.graph.heads
         out = self.graph.out_lists
@@ -348,7 +340,8 @@ class MultiLevelEsTree(_IndexedEs):
                     emin = i
             edges = out[w]
             children = [h for e in edges
-                        if (h := heads[e]) != w and level[h] < n and in_pos[e] == tei[h]]
+                        if (h := heads[e]) != w and 0 < level[h] < n
+                        and in_list[h][tei[h]] == e]
             c.edges_scanned += sz + len(edges)
             c.vertices_visited += 1
             if lmin + 1 >= n:

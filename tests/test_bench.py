@@ -91,12 +91,39 @@ def test_registry_rejects_malformed_specs(spec):
 
 @pytest.mark.parametrize("spec, message", [
     ("es:0:.5", "beta must be an integer >= 1 or inf"),
-    ("ses:5:nan", "ratio must be >= 0 or inf"),
+    ("si:nR:SF:2", "ratio must be in"),
 ])
 def test_registry_reports_the_constructor_message(spec, message):
     with pytest.raises(AlgorithmSpecError, match="valid forms") as err:
         algorithm_registry(spec)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("es: 5:.5", "bad beta ' 5'"),
+    ("es:+5:.5", "bad beta '+5'"),
+    ("es:5_0:.5", "bad beta '5_0'"),
+    ("es:\u0665:.5", "bad beta '\u0665'"),
+    ("ses:5:1e-1", "bad ratio '1e-1'"),
+    ("es:5:+.5", "bad ratio '+.5'"),
+    ("es:5:infinity", "bad ratio 'infinity'"),
+    ("ses:5:nan", "bad ratio 'nan'"),
+    ("es:5:1.2.3", "bad ratio '1.2.3'"),
+    ("es:5:.", "bad ratio '.'"),
+])
+def test_registry_takes_one_spelling_per_value(spec, message):
+    # int() or float() would read all but the last two; the registry reads
+    # only ASCII digits for beta and plain decimals for a ratio, or inf
+    with pytest.raises(AlgorithmSpecError, match="valid forms") as err:
+        algorithm_registry(spec)
+    assert message in str(err.value)
+
+
+# with CANONICAL_SPECS (test_canonical_specs_all_resolve), the strict
+# converters still take both ratio ends, inf, and a leading zero
+@pytest.mark.parametrize("spec", ["es:inf:inf", "es:5:0", "es:5:1", "si:R:nSF:0.25"])
+def test_registry_accepts_the_plain_forms(spec):
+    assert callable(algorithm_registry(spec))
 
 
 def test_every_registered_family_is_documented():

@@ -430,6 +430,13 @@ REBUILD_FINGERPRINT = "ecf88289438e1efad09339443a3b8427c55da7b8d95966d037db95dc4
 LAZY_SPECS = ("lbfs", "ldfs")
 LAZY_CURSOR_FINGERPRINT = "3ca79b33f6f1ddaf7d38b7a3757ae27cc1178f61099ad1ad3f54dd4a8f1dfcb2"
 
+#: es and mes at the canonical bounds and at the abort bounds, with each
+#: step's private structure hashed too: levels, tree-edge indices and every
+#: vertex's in-list in order.
+ES_STRUCTURE_SPECS = tuple(f"{fam}:{bounds}" for fam in ("es", "mes")
+                           for bounds in ("5:.5", "1:inf", "2:.05", "inf:0"))
+ES_STRUCTURE_FINGERPRINT = "51f0022bd0f6cbb11826c20c5759b903245a7f582f837f9684ede802cc9f0707"
+
 
 def _lazy_exhausted(alg):
     # cbfs/cdfs are LazyBfs/LazyDfs subclasses whose flag is always True
@@ -440,6 +447,10 @@ def _tree_state(alg):
     if hasattr(alg, "children"):
         return bytes(alg.state), tuple(alg.tree_edge), [tuple(k) for k in alg.children]
     return alg.levels(), tuple(alg.tree_edge)
+
+
+def _es_structure(alg):
+    return alg.levels(), tuple(alg.tei), [tuple(lst) for lst in alg.in_list]
 
 
 def _lazy_cursor(alg):
@@ -458,6 +469,8 @@ def _lazy_cursor(alg):
                  id="rebuild-heavy"),
     pytest.param(_kron_query_instance, LAZY_SPECS, _lazy_cursor, LAZY_CURSOR_FINGERPRINT,
                  id="lazy-cursor"),
+    pytest.param(_er_instance, ES_STRUCTURE_SPECS, _es_structure, ES_STRUCTURE_FINGERPRINT,
+                 id="es-structure"),
 ])
 def test_replay_fingerprint_is_unchanged(instance, specs, step_state, fingerprint):
     seq = instance()

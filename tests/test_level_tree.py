@@ -87,7 +87,7 @@ def test_insert_direct_edge_improves_level(cls):
     if cls is SimplifiedEsTree:
         assert alg.tree_edge[3] == e
     else:
-        assert alg.tei[3] == alg.in_pos[e]
+        assert alg.in_list[3][alg.tei[3]] == e
 
 
 @pytest.mark.parametrize("cls", VARIANTS)
@@ -280,8 +280,8 @@ def test_structure_holds_after_every_step(cls, beta, ratio):
 
 # 0 -> 1 -> 2 plus shortcut (0, 2): in_list[2] is [(0, 2), (1, 2)], tail
 # levels 0 and 1, and 2 hangs off position 0
-def _wrong_in_pos(g, alg):
-    alg.in_pos[g.find_edge(0, 2)] = 1
+def _foreign_entry(g, alg):
+    alg.in_list[2][1] = g.find_edge(0, 1)
 
 
 def _dropped_entry(g, alg):
@@ -293,8 +293,8 @@ def _wrong_level_tail(g, alg):
 
 
 @pytest.mark.parametrize("cls", [EvenShiloachTree, MultiLevelEsTree])
-@pytest.mark.parametrize("corrupt", [_wrong_in_pos, _dropped_entry, _wrong_level_tail],
-                         ids=["in-pos-slot", "dropped-entry", "wrong-level-tail"])
+@pytest.mark.parametrize("corrupt", [_foreign_entry, _dropped_entry, _wrong_level_tail],
+                         ids=["foreign-entry", "dropped-entry", "wrong-level-tail"])
 def test_check_invariants_catches_corruption(cls, corrupt):
     g, alg, _ = make_algorithm(unlimited(cls), 3, 0, [(0, 1), (1, 2), (0, 2)])
     assert alg.in_list[2] == [g.find_edge(0, 2), g.find_edge(1, 2)]
@@ -302,6 +302,22 @@ def test_check_invariants_catches_corruption(cls, corrupt):
     corrupt(g, alg)
     with pytest.raises(AssertionError):
         alg.check_invariants()
+
+
+@pytest.mark.parametrize("cls", [EvenShiloachTree, MultiLevelEsTree])
+def test_source_is_never_a_tree_child(cls):
+    # after `a 1 0` the source's in-list is [(1, 0)], and in_list[0][tei[0]]
+    # with tei[0] == -1 reads that very edge; `d 0 1` then re-anchors 1,
+    # whose only out-edge (1, 0) must not make the source a tree child
+    g, alg, _ = make_algorithm(unlimited(cls), 2, 0, [(0, 1)])
+    alg.check_invariants()
+    apply_add(g, alg, 1, 0)
+    assert alg.levels() == [0, 1]
+    alg.check_invariants()
+    apply_remove(g, alg, 0, 1)
+    assert alg.levels() == [0, 2]
+    assert sweep(alg, 2) == [True, False]
+    alg.check_invariants()
 
 
 def test_ses_check_invariants_catches_wrong_level_tree_edge():
