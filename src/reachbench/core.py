@@ -19,7 +19,13 @@ INIT = "init"
 
 
 class Operation(NamedTuple):
-    """One sequence entry: insert/remove an edge by endpoints, or query a vertex."""
+    """One sequence entry: insert/remove an edge by endpoints, or query a vertex.
+
+    The generators, ingest and parse_sequence build theirs with tuple's C
+    constructor, tuple.__new__(Operation, (kind, u, v)), which skips
+    NamedTuple's Python-level __new__ and its default: a query passes v=-1
+    itself.
+    """
 
     kind: str
     u: int
@@ -75,65 +81,88 @@ def serialize_sequence(seq: OperationSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EDGE_KINDS = frozenset(("i", ADD, REMOVE))
+
+
 def parse_sequence(text: str) -> OperationSequence:
-    seq: OperationSequence | None = None
+    """Read serialize_sequence's text form back.
+
+    Blank lines are skipped and lines whose first token starts with `#` are
+    comments; before the header, a single-token `# key=value` comment is
+    metadata.  Tokens may be separated by any whitespace and lines may end
+    in CRLF.  Raises SequenceFormatError naming the line (counted from 1,
+    comments and blanks included) and quoting it stripped.
+    """
     metadata: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    numbered = enumerate(text.splitlines(), start=1)
+    for lineno, raw in numbered:
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if seq is None and "=" in body and " " not in body:
+            if "=" in body and " " not in body:
                 k, _, v = body.partition("=")
                 metadata[k] = v
             continue
         tokens = line.split()
-        if seq is None:
-            if len(tokens) not in (4, 5) or tokens[0] != "n" or tokens[2] != "source":
-                raise SequenceFormatError(
-                    f"line {lineno}: expected header 'n <n> source <s>', got {line!r}")
-            try:
-                n = int(tokens[1])
-                source = int(tokens[3])
-            except ValueError:
-                raise SequenceFormatError(f"line {lineno}: malformed header {line!r}") from None
-            lenient = False
-            if len(tokens) == 5:
-                if tokens[4] not in ("lenient=0", "lenient=1"):
-                    raise SequenceFormatError(f"line {lineno}: bad header token {tokens[4]!r}")
-                lenient = tokens[4] == "lenient=1"
-            if n <= 0 or not (0 <= source < n):
-                raise SequenceFormatError(f"line {lineno}: invalid n/source in {line!r}")
-            seq = OperationSequence(n, source, lenient=lenient, metadata=metadata)
-            continue
-        kind = tokens[0]
+        if len(tokens) not in (4, 5) or tokens[0] != "n" or tokens[2] != "source":
+            raise SequenceFormatError(
+                f"line {lineno}: expected header 'n <n> source <s>', got {line!r}")
         try:
-            if kind == QUERY:
-                if len(tokens) != 2:
-                    raise ValueError
-                t = int(tokens[1])
-                if not 0 <= t < seq.n:
-                    raise SequenceFormatError(f"line {lineno}: vertex {t} out of range")
-                seq.ops.append(Operation(QUERY, t))
-                continue
-            if kind not in ("i", ADD, REMOVE) or len(tokens) != 3:
-                raise ValueError
-            u, v = int(tokens[1]), int(tokens[2])
+            n = int(tokens[1])
+            source = int(tokens[3])
         except ValueError:
-            raise SequenceFormatError(f"line {lineno}: malformed line {line!r}") from None
-        if not (0 <= u < seq.n and 0 <= v < seq.n):
-            raise SequenceFormatError(f"line {lineno}: endpoint out of range in {line!r}")
-        if kind == "i":
-            if seq.ops:
-                raise SequenceFormatError(
-                    f"line {lineno}: initial edge after first operation")
-            seq.initial_edges.append((u, v))
-        else:
-            seq.ops.append(Operation(kind, u, v))
-    if seq is None:
+            raise SequenceFormatError(f"line {lineno}: malformed header {line!r}") from None
+        lenient = False
+        if len(tokens) == 5:
+            if tokens[4] not in ("lenient=0", "lenient=1"):
+                raise SequenceFormatError(f"line {lineno}: bad header token {tokens[4]!r}")
+            lenient = tokens[4] == "lenient=1"
+        if n <= 0 or not (0 <= source < n):
+            raise SequenceFormatError(f"line {lineno}: invalid n/source in {line!r}")
+        break
+    else:
         raise SequenceFormatError("missing header line")
-    return seq
+    initial: list[tuple[int, int]] = []
+    ops: list[Operation] = []
+    new = tuple.__new__
+    # each line is split once (which also strips it); the stripped line is
+    # rebuilt only to quote it in an error
+    for lineno, raw in numbered:
+        tokens = raw.split()
+        width = len(tokens)
+        if width == 3 and tokens[0] in _EDGE_KINDS:
+            kind, a, b = tokens
+            try:
+                u = int(a)
+                v = int(b)
+            except ValueError:
+                raise _malformed(lineno, raw) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise SequenceFormatError(
+                    f"line {lineno}: endpoint out of range in {raw.strip()!r}")
+            if kind != "i":
+                ops.append(new(Operation, (kind, u, v)))
+            elif ops:
+                raise SequenceFormatError(f"line {lineno}: initial edge after first operation")
+            else:
+                initial.append((u, v))
+        elif width == 2 and tokens[0] == QUERY:
+            try:
+                t = int(tokens[1])
+            except ValueError:
+                raise _malformed(lineno, raw) from None
+            if not 0 <= t < n:
+                raise _malformed(lineno, raw)
+            ops.append(new(Operation, (QUERY, t, -1)))
+        elif width and tokens[0][0] != "#":
+            raise _malformed(lineno, raw)
+    return OperationSequence(n, source, initial, ops, lenient, metadata)
+
+
+def _malformed(lineno: int, raw: str) -> SequenceFormatError:
+    return SequenceFormatError(f"line {lineno}: malformed line {raw.strip()!r}")
 
 
 def save_sequence(seq: OperationSequence, path: str | Path) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import ADD, QUERY, REMOVE, Operation, OperationSequence
 
@@ -42,13 +43,33 @@ class ErSpec:
             raise ValueError(f"kind proportions must be >= 0 and sum to 1, got {probs}")
 
 
+def _draws(rng: random.Random, m: int, count: int) -> list[int]:
+    """count values from [0, m), each the one rng.randrange(m) would return
+    in turn, leaving rng in the same state as those count calls would.
+
+    This is the rule randrange(m) follows on CPython 3.10 and later
+    (Random._randbelow_with_getrandbits): k = m.bit_length(), then
+    getrandbits(k) again until the value is below m.  Each round draws as
+    many values as are still missing, so no draw is made past the one that
+    completes the count.  The draws run in C (map over getrandbits) rather
+    than through randrange's Python-level argument checks.
+    """
+    getrandbits = rng.getrandbits
+    k = m.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        out += [r for r in map(getrandbits, repeat(k, count - len(out))) if r < m]
+    return out
+
+
 def gen_er_instance(spec: ErSpec) -> OperationSequence:
     rng = random.Random(spec.seed)
     n = spec.n
-    randrange = rng.randrange
-    initial = [(randrange(n), randrange(n)) for _ in range(int(round(spec.d * n)))]
+    ends = _draws(rng, n, 2 * int(round(spec.d * n)))
+    initial = list(zip(ends[::2], ends[1::2]))
     live = list(initial)
     ops: list[Operation] = []
+    new = tuple.__new__
     ci = spec.p_insert
     cd = spec.p_insert + spec.p_delete
     while len(ops) < spec.sigma:
@@ -66,24 +87,23 @@ def gen_er_instance(spec: ErSpec) -> OperationSequence:
             continue
         count = min(spec.batch, spec.sigma - len(ops))
         if kind == ADD:
-            for _ in range(count):
-                u = randrange(n)
-                v = randrange(n)
-                live.append((u, v))
-                ops.append(Operation(ADD, u, v))
+            ends = _draws(rng, n, 2 * count)
+            added = list(zip(ends[::2], ends[1::2]))
+            live += added
+            ops += [new(Operation, (ADD, u, v)) for u, v in added]
         elif kind == REMOVE:
-            # the batch is cut short if the live set drains mid-batch
+            # the batch is cut short if the live set drains mid-batch; each
+            # index has its own bound, a single randrange call
             for _ in range(count):
                 if not live:
                     break
-                i = randrange(len(live))
+                i = rng.randrange(len(live))
                 u, v = live[i]
                 live[i] = live[-1]
                 live.pop()
-                ops.append(Operation(REMOVE, u, v))
+                ops.append(new(Operation, (REMOVE, u, v)))
         else:
-            for _ in range(count):
-                ops.append(Operation(QUERY, randrange(n)))
+            ops += [new(Operation, (QUERY, t, -1)) for t in _draws(rng, n, count)]
     metadata = {
         "kind": "er",
         "n": str(n),
@@ -226,10 +246,11 @@ def snapshots_to_sequence(snapshots: list[set[tuple[int, int]]], *, seed: int = 
     source = ranked[source_rank]
     rng = random.Random(seed)
     ops: list[Operation] = []
+    new = tuple.__new__
     prev = first
     for nxt in snapshots[1:]:
-        block = [Operation(ADD, u, v) for u, v in sorted(nxt - prev)]
-        block += [Operation(REMOVE, u, v) for u, v in sorted(prev - nxt)]
+        block = [new(Operation, (ADD, u, v)) for u, v in sorted(nxt - prev)]
+        block += [new(Operation, (REMOVE, u, v)) for u, v in sorted(prev - nxt)]
         rng.shuffle(block)
         ops.extend(block)
         prev = nxt
@@ -272,14 +293,14 @@ def inject_queries(seq: OperationSequence, count: int, seed: int,
     rng = random.Random(seed)
     slots = len(seq.ops) + 1
     at: dict[int, list[Operation]] = {}
+    new = tuple.__new__
     remaining = count
     while remaining > 0:
         size = min(batch, remaining)
         remaining -= size
         pos = rng.randrange(slots)
-        bucket = at.setdefault(pos, [])
-        for _ in range(size):
-            bucket.append(Operation(QUERY, rng.randrange(seq.n)))
+        at.setdefault(pos, []).extend(
+            [new(Operation, (QUERY, t, -1)) for t in _draws(rng, seq.n, size)])
     ops: list[Operation] = []
     for i, op in enumerate(seq.ops):
         if i in at:

@@ -110,7 +110,8 @@ def events_to_sequence(events: list[TemporalEdgeEvent]) -> tuple[OperationSequen
         i += 1
     if source is None:
         raise IngestError("no insertion among the minimum-timestamp events; no source derivable")
-    ops = [Operation(ADD if sign > 0 else REMOVE, u, v) for _, sign, u, v in rows[i:]]
+    new = tuple.__new__
+    ops = [new(Operation, (ADD if sign > 0 else REMOVE, u, v)) for _, sign, u, v in rows[i:]]
     metadata = {"kind": "temporal", "events": str(len(events))}
     seq = OperationSequence(n=len(labels), source=source, initial_edges=initial,
                             ops=ops, lenient=True, metadata=metadata)

@@ -123,23 +123,38 @@ def test_metadata_values_may_hold_equals_and_be_empty():
     assert parse_sequence(serialize_sequence(seq)) == seq
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "x 3 source 0\n",
-    "n 3 origin 0\n",
-    "n three source 0\n",
-    "n 0 source 0\n",
-    "n 3 source 5\n",
-    "n 3 source 0 lenient=2\n",
-    "n 3 source 0\nq 9\n",
-    "n 3 source 0\na 1\n",
-    "n 3 source 0\nz 0 1\n",
-    "n 3 source 0\ni 0 3\n",
-    "n 3 source 0\na 0 1\ni 1 2\n",
-])
+#: Each malformed text and the full message it is rejected with.  A line is
+#: quoted stripped of its surrounding whitespace, and its number counts every
+#: line, comments and blanks included.  A query target out of range reads as
+#: a malformed line.
+MALFORMED = {
+    "": "missing header line",
+    "x 3 source 0\n": "line 1: expected header 'n <n> source <s>', got 'x 3 source 0'",
+    "n 3 origin 0\n": "line 1: expected header 'n <n> source <s>', got 'n 3 origin 0'",
+    "n three source 0\n": "line 1: malformed header 'n three source 0'",
+    "n 0 source 0\n": "line 1: invalid n/source in 'n 0 source 0'",
+    "n 3 source 5\n": "line 1: invalid n/source in 'n 3 source 5'",
+    "n 3 source 0 lenient=2\n": "line 1: bad header token 'lenient=2'",
+    "n 3 source 0\nq 9\n": "line 2: malformed line 'q 9'",
+    "n 3 source 0\na 1\n": "line 2: malformed line 'a 1'",
+    "n 3 source 0\nz 0 1\n": "line 2: malformed line 'z 0 1'",
+    "n 3 source 0\ni 0 3\n": "line 2: endpoint out of range in 'i 0 3'",
+    "n 3 source 0\na 0 1\ni 1 2\n": "line 3: initial edge after first operation",
+    "n 3 source 0\nq 1 2\n": "line 2: malformed line 'q 1 2'",
+    "n 3 source 0\ni 0\n": "line 2: malformed line 'i 0'",
+    "n 3 source 0\ni 0 1\n# three token comment\n\na 1 2\nq x\n":
+        "line 6: malformed line 'q x'",
+    "n 3 source 0\na\t0\t1\n\td 0\t1\t2 \n": "line 3: malformed line 'd 0\\t1\\t2'",
+    "n 3 source 0\r\ni 0 1\r\n  a 1 x\r\n": "line 3: malformed line 'a 1 x'",
+    "n 3 source 0\nd 3 0\n": "line 2: endpoint out of range in 'd 3 0'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed_input(text):
-    with pytest.raises(SequenceFormatError):
+    with pytest.raises(SequenceFormatError) as caught:
         parse_sequence(text)
+    assert str(caught.value) == MALFORMED[text]
 
 
 def test_save_and_load(tmp_path):

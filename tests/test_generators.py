@@ -1,12 +1,16 @@
 """Seeded instance generators and sequence transforms."""
 
+import hashlib
+import random
+
 import pytest
 
 from reachbench.core import (ADD, QUERY, REMOVE, Operation, OperationSequence, load_sequence,
-                             replay, save_sequence, serialize_sequence)
+                             parse_sequence, replay, save_sequence, serialize_sequence)
 from reachbench.generators import (
     ErSpec,
     KroneckerSpec,
+    _draws,
     gen_er_instance,
     gen_kronecker_instance,
     gen_kronecker_snapshot,
@@ -14,6 +18,7 @@ from reachbench.generators import (
     shuffle_sequence,
     snapshots_to_sequence,
 )
+from reachbench.ingest import ingest_snapshots, ingest_temporal
 from reachbench.static_search import CachingBfs, StaticBfs
 
 
@@ -91,6 +96,21 @@ def test_er_rejects_deletion_only_mix_on_empty_graph():
     with pytest.raises(ValueError):
         gen_er_instance(ErSpec(n=5, d=0.0, sigma=10, seed=0,
                                p_insert=0.0, p_delete=1.0, p_query=0.0))
+
+
+#: 1, 2, 3 and each power of two up to 2^20 with its two neighbours, so
+#: every bit width is drawn both with and without rejections
+DRAW_BOUNDS = sorted({1, 2, 3} | {(1 << k) + d for k in range(2, 21) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3])
+def test_draws_follow_randrange(seed):
+    rng = random.Random(seed)
+    ref = random.Random(seed)
+    for m in DRAW_BOUNDS:
+        for count in (1, 2, 37):
+            assert _draws(rng, m, count) == [ref.randrange(m) for _ in range(count)], (m, count)
+            assert rng.getstate() == ref.getstate(), (m, count)
 
 
 # ---- Kronecker ----
@@ -260,3 +280,86 @@ def test_inject_queries_splices_batches():
         inject_queries(seq, count=-1, seed=0)
     with pytest.raises(ValueError):
         inject_queries(seq, count=5, seed=0, batch=0)
+
+
+# ---- pinned instances ----
+
+
+KRON_INITIATOR = ((0.9, 0.5), (0.5, 0.1))
+
+
+def _er(seed):
+    return lambda tmp: gen_er_instance(ErSpec(1000, 5.0, 2000, seed=seed))
+
+
+def _kron_with_queries(tmp):
+    seq = gen_kronecker_instance(KroneckerSpec.growing(KRON_INITIATOR, 5, 8, seed=1))
+    return inject_queries(seq, len(seq.ops), seed=2)
+
+
+def _snapshot_files(tmp):
+    # Kronecker edge sets as relationship files, every fourth line a peer pair
+    paths = []
+    for k, seed in ((5, 11), (6, 12), (6, 13)):
+        edges = sorted(gen_kronecker_snapshot(KRON_INITIATOR, k, seed))
+        path = tmp / f"snap-{seed}.txt"
+        path.write_text("".join(f"v{u} v{v} {'0' if i % 4 == 3 else '-1'}\n"
+                                for i, (u, v) in enumerate(edges)), encoding="ascii")
+        paths.append(path)
+    return ingest_snapshots(paths, seed=5)[0]
+
+
+def _temporal_file(tmp):
+    # 400 events over 40 labels, eight per timestamp, a third of them deletions
+    rng = random.Random(7)
+    lines = ["% tail head sign timestamp", ""]
+    for i in range(400):
+        lines.append(f"u{rng.randrange(40)} u{rng.randrange(40)} "
+                     f"{rng.choice((1, 1, -1))} {i // 8}")
+    path = tmp / "stream.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return ingest_temporal(path)[0]
+
+
+#: SHA-256 of serialize_sequence's text of each instance: the ER instances of
+#: the er-updates shape, a growing Kronecker stream with a query per update
+#: spliced in (and its shuffle), and the two ingest paths.  A change here
+#: means the generators or the ingest lowering drew a different instance.
+INSTANCE_FINGERPRINTS = {
+    "er-0": "0987b52aca954ab37454c64ff735e13cee4226a1340a70470f71c535696b4b97",
+    "er-1": "30807f15da754f5e8035889246fd112cd84dd11823ace73cb3c94d1777330e90",
+    "er-2": "c24518c0a7ec45a9ec5ea2280406415757d6b30f59f4dec4fe8062aae68a9f86",
+    "kron-queries": "940cf67b9bf6f0d939f284cb1636de1b7d359463bec98420169d8df48a6c0ad3",
+    "kron-queries-shuffled": "7211b0a6b43e05ba0105952fee9d6fcb7efc2b624d94abb598b9c21b712f745c",
+    "snapshots": "a3df3881d602a01e0379bfd0bd432db15e4671d41b9b2df466f18de9746bb07d",
+    "temporal": "67aa14cd10ab5cf97935002ec469ce591c3b4898f191507af458baf7cc360d2c",
+}
+
+INSTANCES = {
+    "er-0": _er(0),
+    "er-1": _er(1),
+    "er-2": _er(2),
+    "kron-queries": _kron_with_queries,
+    "kron-queries-shuffled": lambda tmp: shuffle_sequence(_kron_with_queries(tmp), 3),
+    "snapshots": _snapshot_files,
+    "temporal": _temporal_file,
+}
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_instance_fingerprint_is_unchanged(name, tmp_path):
+    text = serialize_sequence(INSTANCES[name](tmp_path))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == INSTANCE_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_every_op_is_an_operation(name, tmp_path):
+    # a plain tuple compares equal to an Operation, so equality alone would
+    # not catch a builder that returns one
+    seq = INSTANCES[name](tmp_path)
+    for s in (seq, parse_sequence(serialize_sequence(seq))):
+        assert s.ops
+        for op in s.ops:
+            assert type(op) is Operation
+            assert (op.kind, op.u, op.v) == op
+            assert op.kind in (ADD, REMOVE) or (op.kind == QUERY and op.v == -1)
