@@ -171,8 +171,6 @@ def run_benchmark(sequence: OperationSequence, algorithm: str, instance: str | P
     run instead, and is back in its prior state however the runs end."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if timeout is not None and not timeout >= 0:
-        raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
     factory = algorithm_registry(algorithm)
     samples = []
     enabled = gc.isenabled()

@@ -53,6 +53,13 @@ class SequenceFormatError(ValueError):
     pass
 
 
+def _is_metadata(key: str, value: str) -> bool:
+    """Whether a `# key=value` line before the header is metadata, for
+    parse_sequence and serialize_sequence alike: the key is non-empty
+    without '=', and neither holds whitespace of any kind."""
+    return bool(key) and "=" not in key and not any(c.isspace() for c in key + value)
+
+
 def serialize_sequence(seq: OperationSequence) -> str:
     """Render the line-oriented text form (ASCII, LF line ends).
 
@@ -63,7 +70,7 @@ def serialize_sequence(seq: OperationSequence) -> str:
     read back.
     """
     for k, v in seq.metadata.items():
-        if not k or "=" in k or any(c.isspace() for c in k + v):
+        if not _is_metadata(k, v):
             raise ValueError(f"metadata {k!r}={v!r} would not read back: a key must be "
                              "non-empty without '=', and neither may contain whitespace")
     lines = [f"# {k}={seq.metadata[k]}" for k in sorted(seq.metadata)]
@@ -88,10 +95,11 @@ def parse_sequence(text: str) -> OperationSequence:
     """Read serialize_sequence's text form back.
 
     Blank lines are skipped and lines whose first token starts with `#` are
-    comments; before the header, a single-token `# key=value` comment is
-    metadata.  Tokens may be separated by any whitespace and lines may end
-    in CRLF.  Raises SequenceFormatError naming the line (counted from 1,
-    comments and blanks included) and quoting it stripped.
+    comments; before the header, a `# key=value` comment is metadata when
+    _is_metadata holds, and a plain comment otherwise.  Tokens may be
+    separated by any whitespace and lines may end in CRLF.  Raises
+    SequenceFormatError naming the line (counted from 1, comments and
+    blanks included) and quoting it stripped.
     """
     metadata: dict[str, str] = {}
     numbered = enumerate(text.splitlines(), start=1)
@@ -100,9 +108,8 @@ def parse_sequence(text: str) -> OperationSequence:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body and " " not in body:
-                k, _, v = body.partition("=")
+            k, eq, v = line[1:].strip().partition("=")
+            if eq and _is_metadata(k, v):
                 metadata[k] = v
             continue
         tokens = line.split()
@@ -154,7 +161,8 @@ def parse_sequence(text: str) -> OperationSequence:
             except ValueError:
                 raise _malformed(lineno, raw) from None
             if not 0 <= t < n:
-                raise _malformed(lineno, raw)
+                raise SequenceFormatError(
+                    f"line {lineno}: query target out of range in {raw.strip()!r}")
             ops.append(new(Operation, (QUERY, t, -1)))
         elif width and tokens[0][0] != "#":
             raise _malformed(lineno, raw)
@@ -255,24 +263,9 @@ AlgorithmFactory = Callable[[DiGraph, int, WorkCounters], SsrAlgorithm]
 # ---- oracle ----
 
 
-def oracle_reach_set(graph: DiGraph, source: int) -> bytearray:
-    """Reachability from source by plain BFS; independent of the algorithms."""
-    reached = bytearray(graph.vertex_count)
-    reached[source] = 1
-    queue = deque([source])
-    out, heads = graph.out_lists, graph.heads
-    while queue:
-        x = queue.popleft()
-        for e in out[x]:
-            w = heads[e]
-            if not reached[w]:
-                reached[w] = 1
-                queue.append(w)
-    return reached
-
-
 def oracle_levels(graph: DiGraph, source: int) -> list[int]:
-    """BFS distances from source; unreachable vertices get n."""
+    """BFS distances from source; unreachable vertices get n.  The one
+    reference BFS, independent of the algorithms."""
     n = graph.vertex_count
     level = [n] * n
     level[source] = 0
@@ -287,6 +280,12 @@ def oracle_levels(graph: DiGraph, source: int) -> list[int]:
                 level[w] = lx
                 queue.append(w)
     return level
+
+
+def oracle_reach_set(graph: DiGraph, source: int) -> bytearray:
+    """Reachability from source: 1 for each vertex oracle_levels puts
+    below n, else 0."""
+    return bytearray(map(graph.vertex_count.__gt__, oracle_levels(graph, source)))
 
 
 # ---- replay ----
@@ -392,8 +391,11 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     Only a sequence flagged lenient may remove an edge that is not live;
     such a removal is skipped and recorded with zero work, and in any other
     sequence it raises ReplayError.  A timeout (seconds) aborts between
-    operations, flags the result timed_out, and keeps partial records.
+    operations, flags the result timed_out, and keeps partial records;
+    it must be >= 0 (nan is a ValueError).
     """
+    if timeout is not None and not timeout >= 0:
+        raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
     deadline = None if timeout is None else time.perf_counter() + timeout
     g = DiGraph.from_edges(seq.n, seq.initial_edges)
     counters = WorkCounters()

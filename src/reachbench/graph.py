@@ -15,39 +15,41 @@ class DiGraph:
     the vacated slot, so deletions perturb list order.  Parallel edges and
     self-loops are allowed; the vertex set is fixed at construction.
 
-    Incidence entries are bare edge ids.  out_lists and in_lists are the
-    live per-vertex incidence tables (out_lists[v] holds the ids of v's
-    out-edges, in_lists[v] those of its in-edges), not copies: they are the
-    one way to read incidence lists, and are read-only to callers.  heads
-    and tails are the same kind of live, read-only tables by edge id, with
-    one entry per id ever issued: heads[e] is e's head, and tails[e] is
-    e's tail, or -1 once e is dead.  A traversal reads the other endpoint
-    of an entry from them: `for e in out_lists[x]: w = heads[e]`, or
-    `tails[e]` on an in-list.  A traversal that needs only the heads, not
-    the ids, reads out_heads, a third live, read-only per-vertex table in
-    step with out_lists: out_heads[x][i] == heads[out_lists[x][i]] for
-    every entry, so `for w in out_heads[x]` reads no edge id at all.
+    The graph is its tables, plain attributes that callers read directly.
+    They are live, read-only to callers, and never rebound after
+    construction: readers such as the ES/MES/SES step closures and
+    static_search._bfs bind them once per rebuild or call, so a rebound
+    table would leave those readers on a stale one.
+    - vertex_count: n; edge_count: the number of live edges.
+    - out_lists[v], in_lists[v]: the ids of v's out-edges and in-edges,
+      bare edge ids, one list slot per live edge in each.
+    - heads[e], tails[e]: the head and tail of every edge id ever issued,
+      one slot per id in each; tails[e] is -1 once e is dead (its heads
+      entry stays).  A traversal reads `for e in out_lists[x]: w =
+      heads[e]`, or `tails[e]` on an in-list.
+    - out_heads[v]: the head of each entry of out_lists[v], in the same
+      slot (out_heads[x][i] == heads[out_lists[x][i]]), so a traversal
+      that needs no edge id reads `for w in out_heads[x]`.  It costs one
+      more list slot per live edge and one more list per vertex.
 
     Costs: add_edge is O(1); remove_edge is O(the edge's positions in its
     tail's out-list and its head's in-list), found by a scan of each;
     find_edge(u, v) is O(out-degree of u): list.count and list.index, C
     scans of out_heads[u], find v's slots, and out_lists[u] is read only
-    at those; pop_edge(u, v) costs the two together.  The head table costs
-    one more list slot per edge and one more list per vertex.
+    at those; pop_edge(u, v) costs the two together.
     """
 
-    __slots__ = ("_out", "_out_heads", "_in", "_tail", "_head", "_live")
+    __slots__ = ("vertex_count", "edge_count", "out_lists", "out_heads", "in_lists",
+                 "heads", "tails")
 
     def __init__(self, n: int = 0):
-        self._out: list[list[int]] = [[] for _ in range(n)]
-        # _out_heads[x][i] is the head of edge _out[x][i]
-        self._out_heads: list[list[int]] = [[] for _ in range(n)]
-        self._in: list[list[int]] = [[] for _ in range(n)]
-        # endpoints by edge id; a dead edge has _tail[e] == -1 (its _head
-        # entry stays)
-        self._tail: list[int] = []
-        self._head: list[int] = []
-        self._live = 0
+        self.out_lists: list[list[int]] = [[] for _ in range(n)]
+        self.out_heads: list[list[int]] = [[] for _ in range(n)]
+        self.in_lists: list[list[int]] = [[] for _ in range(n)]
+        self.vertex_count = len(self.out_lists)
+        self.edge_count = 0
+        self.heads: list[int] = []
+        self.tails: list[int] = []
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "DiGraph":
@@ -60,38 +62,28 @@ class DiGraph:
         if edges and (min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n):
             for u, v in edges:
                 g.add_edge(u, v)  # raises at the first out-of-range edge
-        out, out_heads, inc = g._out, g._out_heads, g._in
+        out, out_heads, inc = g.out_lists, g.out_heads, g.in_lists
         for e, (u, v) in enumerate(edges):
             out[u].append(e)
             out_heads[u].append(v)
         for e, v in enumerate(heads):
             inc[v].append(e)
-        g._tail, g._head, g._live = tails, heads, len(tails)
+        g.tails, g.heads, g.edge_count = tails, heads, len(tails)
         return g
-
-    # ---- size ----
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._out)
-
-    @property
-    def edge_count(self) -> int:
-        return self._live
 
     # ---- mutation ----
 
     def add_edge(self, u: int, v: int) -> int:
-        n = len(self._out)
+        n = self.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
         # both lookups before the first write: a non-int endpoint raises
         # TypeError here and leaves the graph as it was
-        out_u, heads_u, in_v = self._out[u], self._out_heads[u], self._in[v]
-        e = len(self._tail)
-        self._tail.append(u)
-        self._head.append(v)
-        self._live += 1
+        out_u, heads_u, in_v = self.out_lists[u], self.out_heads[u], self.in_lists[v]
+        e = len(self.tails)
+        self.tails.append(u)
+        self.heads.append(v)
+        self.edge_count += 1
         out_u.append(e)
         heads_u.append(v)
         in_v.append(e)
@@ -119,9 +111,9 @@ class DiGraph:
     def _unlink(self, e: int, u: int, v: int) -> None:
         """Mark live edge e = (u, v) dead and swap-remove its entries from
         u's out-list, the same slot of u's head list, and v's in-list."""
-        self._tail[e] = -1
-        self._live -= 1
-        out_u, heads_u, in_v = self._out[u], self._out_heads[u], self._in[v]
+        self.tails[e] = -1
+        self.edge_count -= 1
+        out_u, heads_u, in_v = self.out_lists[u], self.out_heads[u], self.in_lists[v]
         pos = out_u.index(e)
         last = out_u.pop()
         last_head = heads_u.pop()
@@ -137,14 +129,14 @@ class DiGraph:
 
     def find_edge(self, u: int, v: int) -> int | None:
         """Most recently inserted live (u, v) edge, or None."""
-        n = len(self._out)
+        n = self.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             return None
-        heads_u = self._out_heads[u]
+        heads_u = self.out_heads[u]
         k = heads_u.count(v)
         if not k:
             return None
-        out_u = self._out[u]
+        out_u = self.out_lists[u]
         i = heads_u.index(v)
         best = out_u[i]
         for _ in range(k - 1):  # parallel edges: the largest id is the newest
@@ -155,57 +147,29 @@ class DiGraph:
 
     def is_live(self, e: int) -> bool:
         try:
-            return e >= 0 and self._tail[e] >= 0
+            return e >= 0 and self.tails[e] >= 0
         except (IndexError, TypeError):
             return False
 
     def endpoints(self, e: int) -> tuple[int, int]:
         if self.is_live(e):
-            return (self._tail[e], self._head[e])
+            return (self.tails[e], self.heads[e])
         raise ValueError(f"edge id {e} is not live")
-
-    @property
-    def out_lists(self) -> list[list[int]]:
-        """Out-entries of every vertex, indexed by tail; live and read-only."""
-        return self._out
-
-    @property
-    def out_heads(self) -> list[list[int]]:
-        """Heads of every vertex's out-entries, in out_lists order; live and
-        read-only."""
-        return self._out_heads
-
-    @property
-    def in_lists(self) -> list[list[int]]:
-        """In-entries of every vertex, indexed by head; live and read-only."""
-        return self._in
-
-    @property
-    def heads(self) -> list[int]:
-        """Head of every edge id ever issued, dead ones included; live and
-        read-only."""
-        return self._head
-
-    @property
-    def tails(self) -> list[int]:
-        """Tail of every edge id ever issued, -1 for a dead edge; live and
-        read-only."""
-        return self._tail
 
     # ---- debug ----
 
     def check_invariants(self) -> None:
         """Full-scan consistency check; raises AssertionError on corruption."""
-        tail, head = self._tail, self._head
+        tail, head = self.tails, self.heads
         assert len(tail) == len(head)
         live = [e for e, u in enumerate(tail) if u >= 0]
-        assert self._live == len(live)
-        for lists, own in ((self._out, tail), (self._in, head)):
+        assert self.edge_count == len(live)
+        for lists, own in ((self.out_lists, tail), (self.in_lists, head)):
             for x, lst in enumerate(lists):
                 for e in lst:
                     assert own[e] == x
             # each live edge exactly once, no dead one
             assert sorted(e for lst in lists for e in lst) == live
-        assert len(self._out_heads) == len(self._out)
-        for lst, heads_x in zip(self._out, self._out_heads):
+        assert self.vertex_count == len(self.out_lists) == len(self.out_heads) == len(self.in_lists)
+        for lst, heads_x in zip(self.out_lists, self.out_heads):
             assert heads_x == [head[e] for e in lst]

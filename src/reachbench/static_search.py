@@ -24,9 +24,10 @@ iterates the growing `order` list directly.  A resumed one restarts at
 reads entries appended, or swapped in by a removal, since it stopped.
 DFS keeps a stack of [vertex, cursor] pairs with the same resume rule.
 
-The oracle in `core.oracle_reach_set` is a separate BFS that shares no
-code with these kernels and reads `out_lists` and `heads`, not
-`out_heads`; so do `_LazySearch.check_invariants` and `_read_entries`.
+The oracle, `core.oracle_levels` and the `core.oracle_reach_set` read
+from it, is a separate BFS that shares no code with these kernels and
+reads `out_lists` and `heads`, not `out_heads`; so do
+`_LazySearch.check_invariants` and `_read_entries`.
 An `out_heads` entry that drifted from its edge's head therefore shows as
 a divergence from the oracle, not as agreement with it.
 """

@@ -99,9 +99,11 @@ def test_parse_skips_blanks_and_ignores_late_comments():
 
 
 def test_parse_metadata_requires_single_token():
-    # a spaced comment before the header is commentary, not metadata
-    seq = parse_sequence("# two words=x\nn 1 source 0\n")
-    assert seq.metadata == {}
+    # a comment before the header that serialize_sequence would not write
+    # back (a spaced body, a tab or no-break space, an empty key) is
+    # commentary, not metadata
+    for comment in ("# two words=x", "#k=v\tw", "#k=v\u00a0w", "# =v"):
+        assert parse_sequence(comment + "\nn 1 source 0\n").metadata == {}, comment
 
 
 @pytest.mark.parametrize("key, value", [
@@ -135,7 +137,7 @@ MALFORMED = {
     "n 0 source 0\n": "line 1: invalid n/source in 'n 0 source 0'",
     "n 3 source 5\n": "line 1: invalid n/source in 'n 3 source 5'",
     "n 3 source 0 lenient=2\n": "line 1: bad header token 'lenient=2'",
-    "n 3 source 0\nq 9\n": "line 2: malformed line 'q 9'",
+    "n 3 source 0\nq 9\n": "line 2: query target out of range in 'q 9'",
     "n 3 source 0\na 1\n": "line 2: malformed line 'a 1'",
     "n 3 source 0\nz 0 1\n": "line 2: malformed line 'z 0 1'",
     "n 3 source 0\ni 0 3\n": "line 2: endpoint out of range in 'i 0 3'",
@@ -361,6 +363,13 @@ def test_replay_timeout_flags_and_keeps_partial_records():
     res = replay(seq, algorithm_registry("sbfs"), timeout=0.0)
     assert res.timed_out
     assert len(res.records) == 1 and res.records[0].op_index == -1
+
+
+@pytest.mark.parametrize("timeout", [-1.0, float("-inf"), float("nan")])
+def test_replay_rejects_a_timeout_below_zero(timeout):
+    seq = OperationSequence(n=2, source=0, ops=[Operation(QUERY, 0)])
+    with pytest.raises(ValueError, match="timeout must be >= 0"):
+        replay(seq, algorithm_registry("sbfs"), timeout=timeout)
 
 
 def test_removal_resolves_to_most_recent_parallel_edge():

@@ -163,25 +163,29 @@ def test_out_heads_follow_out_lists_through_swap_removal():
 
 
 def _plant_dead_id(g, dead):
-    g._out[1].append(dead)
+    g.out_lists[1].append(dead)
 
 
 def _plant_wrong_head(g, dead):
-    g._head[0] = 0
+    g.heads[0] = 0
 
 
 def _plant_live_count(g, dead):
-    g._live += 1
+    g.edge_count += 1
 
 
 def _plant_head_table_drift(g, dead):
-    g._out_heads[0][0] = 0
+    g.out_heads[0][0] = 0
+
+
+def _plant_vertex_count(g, dead):
+    g.vertex_count += 1
 
 
 @pytest.mark.parametrize("corrupt", [_plant_dead_id, _plant_wrong_head, _plant_live_count,
-                                     _plant_head_table_drift],
+                                     _plant_head_table_drift, _plant_vertex_count],
                          ids=["dead-id-listed", "endpoint-disagrees", "live-count-off",
-                              "head-table-drifts"])
+                              "head-table-drifts", "vertex-count-off"])
 def test_check_invariants_catches_corruption(corrupt):
     g = DiGraph(2)
     g.add_edge(0, 1)
@@ -191,6 +195,16 @@ def test_check_invariants_catches_corruption(corrupt):
     corrupt(g, dead)
     with pytest.raises(AssertionError):
         g.check_invariants()
+
+
+def test_no_operation_rebinds_a_table():
+    g = DiGraph.from_edges(3, [(0, 1), (1, 2), (0, 1)])
+    names = ("out_lists", "out_heads", "in_lists", "heads", "tails")
+    tables = [getattr(g, name) for name in names]
+    e = g.add_edge(2, 0)
+    assert g.pop_edge(0, 1) is not None
+    g.remove_edge(e)
+    assert all(getattr(g, name) is table for name, table in zip(names, tables))
 
 
 def _state(g):
