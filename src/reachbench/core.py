@@ -4,6 +4,7 @@ owns all graph mutation."""
 
 from __future__ import annotations
 
+import re
 import time
 from collections import _tuplegetter, deque
 from dataclasses import dataclass, field
@@ -90,6 +91,10 @@ def serialize_sequence(seq: OperationSequence) -> str:
 
 _EDGE_KINDS = frozenset(("i", ADD, REMOVE))
 
+#: The one spelling of a vertex id, `n` and `source`: a canonical ASCII
+#: decimal, without sign, leading zero, `_` or other digits int would take.
+_is_decimal = re.compile(r"0|[1-9][0-9]*").fullmatch
+
 
 def parse_sequence(text: str) -> OperationSequence:
     """Read serialize_sequence's text form back.
@@ -100,6 +105,15 @@ def parse_sequence(text: str) -> OperationSequence:
     separated by any whitespace and lines may end in CRLF.  Raises
     SequenceFormatError naming the line (counted from 1, comments and
     blanks included) and quoting it stripped.
+
+    Every vertex id, and the header's source, is read through one table
+    per parse, {str(i): i for i in range(n)}: a token that is not a key is
+    out of range when it is a canonical decimal and malformed otherwise.
+    So each id has one spelling, and every endpoint and target of the
+    result is the one int object the table holds for its vertex, not a
+    fresh int per token.  The table holds n strings during the parse and
+    is freed afterwards, the same order as the DiGraph(n) each replay of
+    the sequence allocates.
     """
     metadata: dict[str, str] = {}
     numbered = enumerate(text.splitlines(), start=1)
@@ -116,17 +130,17 @@ def parse_sequence(text: str) -> OperationSequence:
         if len(tokens) not in (4, 5) or tokens[0] != "n" or tokens[2] != "source":
             raise SequenceFormatError(
                 f"line {lineno}: expected header 'n <n> source <s>', got {line!r}")
-        try:
-            n = int(tokens[1])
-            source = int(tokens[3])
-        except ValueError:
-            raise SequenceFormatError(f"line {lineno}: malformed header {line!r}") from None
+        if not (_is_decimal(tokens[1]) and _is_decimal(tokens[3])):
+            raise SequenceFormatError(f"line {lineno}: malformed header {line!r}")
+        n = int(tokens[1])
         lenient = False
         if len(tokens) == 5:
             if tokens[4] not in ("lenient=0", "lenient=1"):
                 raise SequenceFormatError(f"line {lineno}: bad header token {tokens[4]!r}")
             lenient = tokens[4] == "lenient=1"
-        if n <= 0 or not (0 <= source < n):
+        ids = {str(i): i for i in range(n)}
+        source = ids.get(tokens[3])
+        if source is None:
             raise SequenceFormatError(f"line {lineno}: invalid n/source in {line!r}")
         break
     else:
@@ -134,6 +148,7 @@ def parse_sequence(text: str) -> OperationSequence:
     initial: list[tuple[int, int]] = []
     ops: list[Operation] = []
     new = tuple.__new__
+    vertex = ids.get
     # each line is split once (which also strips it); the stripped line is
     # rebuilt only to quote it in an error
     for lineno, raw in numbered:
@@ -141,14 +156,10 @@ def parse_sequence(text: str) -> OperationSequence:
         width = len(tokens)
         if width == 3 and tokens[0] in _EDGE_KINDS:
             kind, a, b = tokens
-            try:
-                u = int(a)
-                v = int(b)
-            except ValueError:
-                raise _malformed(lineno, raw) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise SequenceFormatError(
-                    f"line {lineno}: endpoint out of range in {raw.strip()!r}")
+            u = vertex(a)
+            v = vertex(b)
+            if u is None or v is None:
+                raise _unknown_ids(lineno, raw, tokens[1:], "endpoint")
             if kind != "i":
                 ops.append(new(Operation, (kind, u, v)))
             elif ops:
@@ -156,17 +167,21 @@ def parse_sequence(text: str) -> OperationSequence:
             else:
                 initial.append((u, v))
         elif width == 2 and tokens[0] == QUERY:
-            try:
-                t = int(tokens[1])
-            except ValueError:
-                raise _malformed(lineno, raw) from None
-            if not 0 <= t < n:
-                raise SequenceFormatError(
-                    f"line {lineno}: query target out of range in {raw.strip()!r}")
+            t = vertex(tokens[1])
+            if t is None:
+                raise _unknown_ids(lineno, raw, tokens[1:], "query target")
             ops.append(new(Operation, (QUERY, t, -1)))
         elif width and tokens[0][0] != "#":
             raise _malformed(lineno, raw)
     return OperationSequence(n, source, initial, ops, lenient, metadata)
+
+
+def _unknown_ids(lineno: int, raw: str, tokens: list[str], what: str) -> SequenceFormatError:
+    """The error for a line whose id tokens are not all vertex ids: out of
+    range when every one is a canonical decimal, malformed otherwise."""
+    if all(map(_is_decimal, tokens)):
+        return SequenceFormatError(f"line {lineno}: {what} out of range in {raw.strip()!r}")
+    return _malformed(lineno, raw)
 
 
 def _malformed(lineno: int, raw: str) -> SequenceFormatError:

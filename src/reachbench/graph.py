@@ -63,10 +63,11 @@ class DiGraph:
             for u, v in edges:
                 g.add_edge(u, v)  # raises at the first out-of-range edge
         out, out_heads, inc = g.out_lists, g.out_heads, g.in_lists
+        # one pass, so an edge's out-list and in-list entries are one int
+        # object, as add_edge makes them
         for e, (u, v) in enumerate(edges):
             out[u].append(e)
             out_heads[u].append(v)
-        for e, v in enumerate(heads):
             inc[v].append(e)
         g.tails, g.heads, g.edge_count = tails, heads, len(tails)
         return g

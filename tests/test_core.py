@@ -127,8 +127,10 @@ def test_metadata_values_may_hold_equals_and_be_empty():
 
 #: Each malformed text and the full message it is rejected with.  A line is
 #: quoted stripped of its surrounding whitespace, and its number counts every
-#: line, comments and blanks included.  A query target out of range reads as
-#: a malformed line.
+#: line, comments and blanks included.  An id, n or source has one spelling,
+#: the canonical ASCII decimal: an id token in any other spelling (a sign, a
+#: leading zero, `_`, a non-ASCII digit) is malformed, and a canonical one
+#: outside 0..n-1 is out of range.
 MALFORMED = {
     "": "missing header line",
     "x 3 source 0\n": "line 1: expected header 'n <n> source <s>', got 'x 3 source 0'",
@@ -149,6 +151,14 @@ MALFORMED = {
     "n 3 source 0\na\t0\t1\n\td 0\t1\t2 \n": "line 3: malformed line 'd 0\\t1\\t2'",
     "n 3 source 0\r\ni 0 1\r\n  a 1 x\r\n": "line 3: malformed line 'a 1 x'",
     "n 3 source 0\nd 3 0\n": "line 2: endpoint out of range in 'd 3 0'",
+    "n 3 source 0\na +1 2\n": "line 2: malformed line 'a +1 2'",
+    "n 3 source 0\na \u0661 1\n": "line 2: malformed line 'a \u0661 1'",
+    "n 3 source 0\nq 0_1\n": "line 2: malformed line 'q 0_1'",
+    "n 3 source 0\ni 01 2\n": "line 2: malformed line 'i 01 2'",
+    "n 3 source 0\na -1 2\n": "line 2: malformed line 'a -1 2'",
+    "n 3 source 0\na 9 x\n": "line 2: malformed line 'a 9 x'",
+    "n +3 source 0\n": "line 1: malformed header 'n +3 source 0'",
+    "n 3 source 01\n": "line 1: malformed header 'n 3 source 01'",
 }
 
 
@@ -157,6 +167,21 @@ def test_parse_rejects_malformed_input(text):
     with pytest.raises(SequenceFormatError) as caught:
         parse_sequence(text)
     assert str(caught.value) == MALFORMED[text]
+
+
+def test_parsed_ids_are_one_object_per_vertex():
+    # every endpoint, target and the source come from one table per parse,
+    # so equal ids are the same int object, above 256 too
+    seq = parse_sequence(serialize_sequence(gen_er_instance(ErSpec(600, 5, 1200, seed=1))))
+    xs = [seq.source]
+    for u, v in seq.initial_edges:
+        xs += (u, v)
+    for op in seq.ops:
+        xs.append(op.u)
+        if op.kind != QUERY:
+            xs.append(op.v)
+    assert max(xs) > 256
+    assert len({id(x) for x in xs}) == len(set(xs))
 
 
 def test_save_and_load(tmp_path):

@@ -217,7 +217,8 @@ def _state(g):
     (1, [(0, 0), (0, 0)]),
     (3, [(0, 1), (0, 1), (1, 2), (2, 2), (0, 1), (2, 0)]),
     (4, [(3, 0), (1, 2), (0, 3), (3, 0), (2, 2), (1, 2)]),
-], ids=["n1-empty", "empty", "self-loops", "parallel", "mixed"])
+    (20, [(i % 20, (7 * i + 3) % 20) for i in range(300)]),
+], ids=["n1-empty", "empty", "self-loops", "parallel", "mixed", "300-edges"])
 def test_from_edges_equals_add_edge_loop(n, edges):
     loop = DiGraph(n)
     for u, v in edges:
@@ -225,6 +226,11 @@ def test_from_edges_equals_add_edge_loop(n, edges):
     bulk = DiGraph.from_edges(n, edges)
     bulk.check_invariants()
     assert _state(bulk) == _state(loop)
+    # one int object per edge id in both incidence tables, as add_edge
+    # makes them (CPython shares only the ints up to 256)
+    for e, u, v in live_edges(bulk):
+        assert bulk.out_lists[u][bulk.out_lists[u].index(e)] is \
+            bulk.in_lists[v][bulk.in_lists[v].index(e)]
     assert bulk.add_edge(0, 0) == loop.add_edge(0, 0)
     for e, _, _ in live_edges(loop)[::2]:
         assert bulk.remove_edge(e) == loop.remove_edge(e)
