@@ -48,6 +48,32 @@ class OperationSequence:
     ops: list[Operation] = field(default_factory=list)
     lenient: bool = False
     metadata: dict[str, str] = field(default_factory=dict)
+    # initial_graph's cache: n, the initial edges as tuples, then the seven
+    # lists of their graph's grouping; ==, repr and dataclasses.replace
+    # leave it out
+    _initial: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def initial_graph(self) -> DiGraph:
+        """A fresh graph built from the initial edges: equal, table for
+        table, to DiGraph.from_edges(n, initial_edges), and raising its
+        ValueError on an out-of-range edge.
+
+        The first call builds that graph and keeps its DiGraph.grouping()
+        for as long as the sequence lives: about six pointer slots per
+        initial edge (the key below and the grouping's five flat lists)
+        plus 2(n + 1) offsets.  Each call rebuilds a fresh graph from it
+        with C slices.  The cache is keyed on n and the initial edges read
+        as tuples, compared on every call (cheaply: a tuple pair reads back
+        as itself), so appending, replacing or editing an edge, a pair
+        given as a list included, or changing n rebuilds it on the next
+        call."""
+        key = list(map(tuple, self.initial_edges))
+        cached = self._initial
+        if cached is None or cached[0] != self.n or cached[1] != key:
+            self._initial = None
+            cached = self._initial = (self.n, key,
+                                      *DiGraph.from_edges(self.n, key).grouping())
+        return DiGraph.from_grouping(cached[2:])
 
 
 class SequenceFormatError(ValueError):
@@ -324,12 +350,12 @@ def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: Work
            deadline: float | None = None) -> Iterator[MeasurementRecord]:
     """The one mutate-then-notify loop behind every replay entry point.
 
-    Takes the graph built from seq's initial edges and a fresh algorithm
-    on it that counts into counters.  The first step initializes the
-    algorithm, and each later step applies one op: edges are added to the
-    graph before edge_inserted and removed before edge_deleted; a removal
-    takes the most recent live (u, v) edge.  Each step yields its
-    MeasurementRecord, built once where the routine is timed:
+    Takes the graph built from seq's initial edges (seq.initial_graph())
+    and a fresh algorithm on it that counts into counters.  The first step
+    initializes the algorithm, and each later step applies one op: edges
+    are added to the graph before edge_inserted and removed before
+    edge_deleted; a removal takes the most recent live (u, v) edge.  Each
+    step yields its MeasurementRecord, built once where the routine is timed:
     wall_time_ns times the routine call alone, and the counters are the
     step's deltas, read straight off the WorkCounters slots.  A query's
     bool answer is appended to answers.  A removal with no live match
@@ -400,7 +426,8 @@ def _steps(seq: OperationSequence, g: DiGraph, alg: SsrAlgorithm, counters: Work
 
 def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
            timeout: float | None = None) -> ReplayResult:
-    """Drive a fresh algorithm instance through seq, recording each
+    """Drive a fresh algorithm instance, on the graph built from seq's
+    initial edges (seq.initial_graph()), through seq, recording each
     routine's time and work.
 
     Only a sequence flagged lenient may remove an edge that is not live;
@@ -412,7 +439,7 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
     if timeout is not None and not timeout >= 0:
         raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
     deadline = None if timeout is None else time.perf_counter() + timeout
-    g = DiGraph.from_edges(seq.n, seq.initial_edges)
+    g = seq.initial_graph()
     counters = WorkCounters()
     alg = factory(g, seq.source, counters)
     answers: list[bool] = []
@@ -424,13 +451,14 @@ def replay(seq: OperationSequence, factory: AlgorithmFactory, *,
 
 def iterate_replay(seq: OperationSequence, factory: AlgorithmFactory
                    ) -> Iterator[tuple[int, Operation | None, DiGraph, SsrAlgorithm, bool | None]]:
-    """Step-by-step replay for tests and verification drivers.
+    """Step-by-step replay for tests and verification drivers, on the
+    graph built from seq's initial edges, as replay's.
 
     Yields (op_index, op, graph, algorithm, answer) after initialize
     (op_index -1, op None) and after each operation.  Lenient-skipped
     removals are yielded with answer None like updates.
     """
-    g = DiGraph.from_edges(seq.n, seq.initial_edges)
+    g = seq.initial_graph()
     counters = WorkCounters()
     alg = factory(g, seq.source, counters)
     answers: list[bool] = []

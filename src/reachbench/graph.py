@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -36,7 +37,8 @@ class DiGraph:
     tail's out-list and its head's in-list), found by a scan of each;
     find_edge(u, v) is O(out-degree of u): list.count and list.index, C
     scans of out_heads[u], find v's slots, and out_lists[u] is read only
-    at those; pop_edge(u, v) costs the two together.
+    at those; pop_edge(u, v) costs find_edge plus the in-list scan, as the
+    lookup already found the out-list slot.
     """
 
     __slots__ = ("vertex_count", "edge_count", "out_lists", "out_heads", "in_lists",
@@ -72,6 +74,39 @@ class DiGraph:
         g.tails, g.heads, g.edge_count = tails, heads, len(tails)
         return g
 
+    def grouping(self) -> tuple[list[int], ...]:
+        """The tables as seven flat lists of ints, which from_grouping
+        rebuilds an equal graph from: out_lists, out_heads and in_lists,
+        each concatenated over the vertices in order; the n + 1 start
+        offsets of each vertex's out-lists and of its in-list; and copies
+        of tails and heads.  Nothing in it is shared with the graph's
+        lists, and an edge id is the one int object in both concatenated
+        incidence lists when it is in both of the graph's."""
+        offsets = [0, *accumulate(map(len, self.out_lists))]
+        in_offsets = [0, *accumulate(map(len, self.in_lists))]
+        return (list(chain.from_iterable(self.out_lists)),
+                list(chain.from_iterable(self.out_heads)),
+                list(chain.from_iterable(self.in_lists)),
+                offsets, in_offsets, self.tails.copy(), self.heads.copy())
+
+    @classmethod
+    def from_grouping(cls, grouping: tuple[list[int], ...]) -> "DiGraph":
+        """A fresh graph equal, table for table, to the one grouping() was
+        read from.  Each incidence list is a C slice of its flat list and
+        tails and heads are copies, so the result shares no list with the
+        grouping, and the grouping can rebuild any number of graphs."""
+        out, out_heads, inc, offsets, in_offsets, tails, heads = grouping
+        g = cls()
+        ends = offsets[1:]
+        g.out_lists = list(map(out.__getitem__, map(slice, offsets, ends)))
+        g.out_heads = list(map(out_heads.__getitem__, map(slice, offsets, ends)))
+        g.in_lists = list(map(inc.__getitem__, map(slice, in_offsets, in_offsets[1:])))
+        g.vertex_count = len(ends)
+        g.edge_count = len(out)
+        g.tails = tails.copy()
+        g.heads = heads.copy()
+        return g
+
     # ---- mutation ----
 
     def add_edge(self, u: int, v: int) -> int:
@@ -97,25 +132,27 @@ class DiGraph:
         (`benchmarks/workloads.py` `oracle_gate`, `graph_apply_ns`) and
         the tests."""
         u, v = self.endpoints(e)
-        self._unlink(e, u, v)
+        self._unlink(e, u, v, self.out_lists[u].index(e))
         return (u, v)
 
     def pop_edge(self, u: int, v: int) -> int | None:
         """Remove the most recently inserted live (u, v) edge and return its
         id: remove_edge(find_edge(u, v)) in one call.  None, with the graph
         unchanged, when there is no such edge."""
-        e = self.find_edge(u, v)
-        if e is not None:
-            self._unlink(e, u, v)
+        pos = self._slot(u, v)
+        if pos < 0:
+            return None
+        e = self.out_lists[u][pos]
+        self._unlink(e, u, v, pos)
         return e
 
-    def _unlink(self, e: int, u: int, v: int) -> None:
+    def _unlink(self, e: int, u: int, v: int, pos: int) -> None:
         """Mark live edge e = (u, v) dead and swap-remove its entries from
-        u's out-list, the same slot of u's head list, and v's in-list."""
+        u's out-list at slot pos, the same slot of u's head list, and
+        v's in-list."""
         self.tails[e] = -1
         self.edge_count -= 1
         out_u, heads_u, in_v = self.out_lists[u], self.out_heads[u], self.in_lists[v]
-        pos = out_u.index(e)
         last = out_u.pop()
         last_head = heads_u.pop()
         if pos < len(out_u):
@@ -130,21 +167,26 @@ class DiGraph:
 
     def find_edge(self, u: int, v: int) -> int | None:
         """Most recently inserted live (u, v) edge, or None."""
+        pos = self._slot(u, v)
+        return self.out_lists[u][pos] if pos >= 0 else None
+
+    def _slot(self, u: int, v: int) -> int:
+        """The slot of the most recently inserted live (u, v) edge in
+        out_lists[u], or -1 when there is none."""
         n = self.vertex_count
         if not (0 <= u < n and 0 <= v < n):
-            return None
+            return -1
         heads_u = self.out_heads[u]
         k = heads_u.count(v)
         if not k:
-            return None
+            return -1
         out_u = self.out_lists[u]
-        i = heads_u.index(v)
-        best = out_u[i]
+        pos = i = heads_u.index(v)
         for _ in range(k - 1):  # parallel edges: the largest id is the newest
             i = heads_u.index(v, i + 1)
-            if out_u[i] > best:
-                best = out_u[i]
-        return best
+            if out_u[i] > out_u[pos]:
+                pos = i
+        return pos
 
     def is_live(self, e: int) -> bool:
         try:

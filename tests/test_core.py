@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from support import live_edges
+
 from reachbench.bench import CANONICAL_SPECS, algorithm_registry
 from reachbench.core import (
     ADD,
@@ -348,6 +350,161 @@ def test_no_collector_tracked_object_per_operation_beyond_its_record():
         gc.enable()
     assert len(res.records) == len(ops) + 1
     assert after - before <= len(ops) + 1 + 3 * n + 20
+
+
+def _tracked_objects() -> int:
+    return len(gc.get_objects())
+
+
+class _Nop(SsrAlgorithm):
+    def query(self, t: int) -> bool:
+        return t == self.source
+
+
+def test_the_initial_grouping_is_built_once_and_stays_small(monkeypatch):
+    """The first replay of a sequence builds its initial graph through
+    from_edges once and keeps a cache of at most 10 collector-tracked
+    objects; a second replay adds no more tracked objects than its graph's
+    3n lists, its N + 1 records and a few fixed ones."""
+    n, ops = 50, [Operation(QUERY, i % 50) for i in range(500)]
+    seq = OperationSequence(n=n, source=0, ops=ops,
+                            initial_edges=[(i % n, (7 * i + 3) % n) for i in range(400)])
+    builds = []
+    from_edges = DiGraph.from_edges.__func__
+    monkeypatch.setattr(DiGraph, "from_edges",
+                        classmethod(lambda cls, *a: builds.append(1) or from_edges(cls, *a)))
+    replay(OperationSequence(n=2, source=0, initial_edges=[(0, 1)]), _Nop)  # warm-up
+    builds.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        before = _tracked_objects()
+        replay(seq, _Nop)  # the result and its graph are freed here
+        cached = _tracked_objects()
+        res = replay(seq, _Nop)
+        after = _tracked_objects()
+    finally:
+        gc.enable()
+    assert len(builds) == 1
+    assert cached - before <= 10
+    assert len(res.records) == len(ops) + 1
+    # fixed: the graph, its three outer lists, tails and heads, the
+    # algorithm, its counters, the result, its records and its answers
+    assert after - cached <= len(ops) + 1 + 3 * n + 11
+
+
+def _tables(g: DiGraph):
+    return (g.vertex_count, g.edge_count, g.out_lists, g.out_heads, g.in_lists,
+            g.tails, g.heads)
+
+
+def _initial_graphs(seq: OperationSequence, drive) -> list[DiGraph]:
+    """The graph each algorithm the drive builds is handed, before any op."""
+    graphs = []
+
+    def factory(g, source, counters):
+        graphs.append((g, _tables(g)))
+        return _Nop(g, source, counters)
+
+    drive(seq, factory)
+    return graphs
+
+
+_DRIVES = [
+    pytest.param(lambda seq, f: replay(seq, f), id="replay"),
+    pytest.param(lambda seq, f: list(iterate_replay(seq, f)), id="iterate_replay"),
+    pytest.param(lambda seq, f: verify_against_oracle(seq, f), id="verify_against_oracle"),
+]
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
+@pytest.mark.parametrize("n,edges", [
+    (1, []),
+    (1, [(0, 0), (0, 0)]),
+    (4, [(3, 0), (1, 2), (0, 3), (3, 0), (2, 2), (1, 2)]),
+    (20, [(i % 20, (7 * i + 3) % 20) for i in range(300)]),
+], ids=["n1-empty", "self-loops", "mixed", "300-edges"])
+def test_every_replay_starts_from_the_from_edges_graph(drive, n, edges):
+    """Each replay's graph equals from_edges' table for table, an edge's
+    out-list and in-list entries are one int object, and no list is
+    shared between two replays' graphs or with the cache."""
+    seq = OperationSequence(n=n, source=0, initial_edges=edges, ops=[Operation(QUERY, 0)])
+    want = _tables(DiGraph.from_edges(n, edges))
+    graphs = [g for _ in range(3) for g in _initial_graphs(seq, drive)]
+    owners = {}
+    for holder in [g for g, _ in graphs] + [seq._initial[2:]]:
+        lists = holder if isinstance(holder, tuple) else (
+            holder.out_lists, holder.out_heads, holder.in_lists, holder.tails, holder.heads)
+        for lst in lists:
+            for obj in (lst, *lst):
+                if isinstance(obj, list):
+                    assert owners.setdefault(id(obj), holder) is holder
+    for g, tables in graphs:
+        assert tables == want
+        g.check_invariants()
+        for e, u, v in live_edges(g):
+            assert g.out_lists[u][g.out_lists[u].index(e)] is \
+                g.in_lists[v][g.in_lists[v].index(e)]
+
+
+def test_back_to_back_replays_repeat_every_canonical_config():
+    seq = _er_instance()
+    for spec in CANONICAL_SPECS:
+        a, b = (replay(seq, algorithm_registry(spec)) for _ in range(2))
+        assert a.answers == b.answers, spec
+        assert [r[:2] + r[3:] for r in a.records] == [r[:2] + r[3:] for r in b.records], spec
+        assert (a.timed_out, a.mean_edges) == (b.timed_out, b.mean_edges), spec
+
+
+def test_a_replay_sees_every_change_to_the_initial_edges():
+    seq = OperationSequence(n=3, source=0, initial_edges=[(0, 1), (1, 2)],
+                            ops=[Operation(QUERY, 2)])
+
+    def check():
+        (g, tables), = _initial_graphs(seq, lambda s, f: replay(s, f))
+        assert tables == _tables(DiGraph.from_edges(seq.n, seq.initial_edges))
+        return replay(seq, algorithm_registry("sbfs")).answers
+
+    assert check() == [True]
+    seq.initial_edges.append((2, 0))
+    assert check() == [True]
+    seq.initial_edges[1] = (0, 0)
+    assert check() == [False]
+    seq.n = 5
+    assert check() == [False]
+    seq.initial_edges.append([0, 2])  # a pair given as a list
+    assert check() == [True]
+    seq.initial_edges[-1][1] = 4
+    assert check() == [False]
+    seq.initial_edges[:] = []
+    assert check() == [False]
+
+
+def test_an_out_of_range_initial_edge_raises_on_every_replay():
+    seq = OperationSequence(n=3, source=0, initial_edges=[(0, 1), (1, 3)],
+                            ops=[Operation(QUERY, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"edge \(1, 3\) out of range for 3 vertices"):
+            replay(seq, algorithm_registry("sbfs"))
+        assert seq._initial is None
+    seq.initial_edges[1] = (1, 2)
+    assert replay(seq, algorithm_registry("sbfs")).answers == [True]
+    assert seq._initial is not None
+    seq.initial_edges.append((-1, 0))
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range"):
+        list(iterate_replay(seq, algorithm_registry("sbfs")))
+    assert seq._initial is None
+
+
+def test_equality_repr_and_replace_ignore_the_cache():
+    seq = OperationSequence(n=3, source=0, initial_edges=[(0, 1)], ops=[Operation(QUERY, 1)])
+    fresh = dataclasses.replace(seq)
+    text = repr(seq)
+    replay(seq, algorithm_registry("sbfs"))
+    assert seq._initial is not None and fresh._initial is None
+    assert seq == fresh and repr(seq) == text == repr(fresh)
+    assert dataclasses.replace(seq)._initial is None
+    assert "_initial" not in text
 
 
 def test_strict_replay_rejects_unmatched_removal():

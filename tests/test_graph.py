@@ -237,6 +237,47 @@ def test_from_edges_equals_add_edge_loop(n, edges):
     assert _state(bulk) == _state(loop)
 
 
+def _tables(g):
+    return (g.vertex_count, g.edge_count, g.out_lists, g.out_heads, g.in_lists,
+            g.tails, g.heads)
+
+
+def _lists(g):
+    return [g.out_lists, g.out_heads, g.in_lists, g.tails, g.heads,
+            *g.out_lists, *g.out_heads, *g.in_lists]
+
+
+@pytest.mark.parametrize("removed", [0, 2], ids=["fresh", "with-dead-ids"])
+@pytest.mark.parametrize("n,edges", [
+    (1, []),
+    (1, [(0, 0), (0, 0)]),
+    (4, [(3, 0), (1, 2), (0, 3), (3, 0), (2, 2), (1, 2)]),
+    (20, [(i % 20, (7 * i + 3) % 20) for i in range(300)]),
+], ids=["n1-empty", "self-loops", "mixed", "300-edges"])
+def test_from_grouping_rebuilds_the_graph(n, edges, removed):
+    """from_grouping(g.grouping()) equals g table for table, dead ids
+    included, keeps one int object per edge id in both incidence tables,
+    and shares no list with g, the grouping or another rebuild; a rebuild
+    mutated afterwards leaves the next one as it was."""
+    g = DiGraph.from_edges(n, edges)
+    for e, _, _ in live_edges(g)[:removed]:
+        g.remove_edge(e)
+    grouping = g.grouping()
+    a, b = DiGraph.from_grouping(grouping), DiGraph.from_grouping(grouping)
+    for rebuilt in (a, b):
+        rebuilt.check_invariants()
+        assert _tables(rebuilt) == _tables(g)
+        for e, u, v in live_edges(rebuilt):
+            assert rebuilt.out_lists[u][rebuilt.out_lists[u].index(e)] is \
+                rebuilt.in_lists[v][rebuilt.in_lists[v].index(e)]
+    everything = _lists(g) + _lists(a) + _lists(b) + list(grouping)
+    assert len(set(map(id, everything))) == len(everything)
+    a.add_edge(0, 0)
+    if edges:
+        a.pop_edge(*edges[-1])
+    assert _tables(DiGraph.from_grouping(grouping)) == _tables(b) == _tables(g)
+
+
 def test_no_collector_tracked_object_per_edge():
     """Incidence entries are bare ints, which the collector does not track:
     a bulk build adds the 3n per-vertex lists (out-ids, out-heads, in-ids)
